@@ -254,6 +254,9 @@ CheckpointEntry& CheckpointLog::GetOrCreateLocked(Shard& shard,
   InsertBucket(shard, address, static_cast<uint32_t>(shard.slots.size()));
   entry_count_++;
   AddIndexBytes(sizeof(CheckpointEntry) + entry.original.size());
+  // A realloc target starts with the new block's extent and no persist, so
+  // the bound must cover it here, not only after the next OnPersist.
+  RaiseMaxExtent(size);
   return entry;
 }
 
@@ -463,35 +466,47 @@ const CheckpointEntry* CheckpointLog::Find(PmOffset address) const {
   return FindSlot(shard, address);
 }
 
-std::vector<const CheckpointEntry*> CheckpointLog::Overlapping(
-    PmOffset offset, size_t size) const {
-  // Entries are hash-indexed (no address order to exploit), but only those
-  // starting within the largest recorded extent below the range end can
-  // overlap, so the scan filters on [offset - max_extent, offset + size).
-  // Reactor-side: linear in the shard's entry count, which is fine off the
-  // hot path.
-  std::vector<const CheckpointEntry*> out;
-  const size_t max_extent = max_extent_.load();
+void CheckpointLog::RefreshAddressViewLocked() const {
+  if (address_view_.size() == entry_count_.load()) {
+    return;
+  }
+  // Each entry is counted under its shard's lock when it is created, so a
+  // rebuild racing a new entry ends up short of entry_count_ and the next
+  // query rebuilds again; it can never end up complete but stale.
+  address_view_.clear();
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (const CheckpointEntry& entry : shard.slots) {
-      if (entry.address >= offset + size ||
-          entry.address + max_extent <= offset) {
-        continue;
-      }
-      const size_t extent = std::max(entry.original.size(),
-                                     entry.versions.empty()
-                                         ? size_t{0}
-                                         : entry.versions.back().data.size());
-      if (offset < entry.address + extent) {
-        out.push_back(&entry);
-      }
+      address_view_.emplace_back(entry.address, &entry);
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const CheckpointEntry* a, const CheckpointEntry* b) {
-              return a->address < b->address;
-            });
+  std::sort(address_view_.begin(), address_view_.end());
+}
+
+std::vector<const CheckpointEntry*> CheckpointLog::Overlapping(
+    PmOffset offset, size_t size) const {
+  std::vector<const CheckpointEntry*> out;
+  std::lock_guard<std::mutex> view_lock(view_mutex_);
+  RefreshAddressViewLocked();
+  // Only entries starting less than max_extent below `offset` can reach it.
+  const size_t max_extent = max_extent_.load();
+  const PmOffset first = offset >= max_extent ? offset - max_extent + 1 : 0;
+  auto it = std::lower_bound(
+      address_view_.begin(), address_view_.end(), first,
+      [](const std::pair<PmOffset, const CheckpointEntry*>& e, PmOffset a) {
+        return e.first < a;
+      });
+  for (; it != address_view_.end() && it->first < offset + size; ++it) {
+    const CheckpointEntry& entry = *it->second;
+    std::lock_guard<std::mutex> lock(ShardFor(entry.address).mutex);
+    const size_t extent = std::max(entry.original.size(),
+                                   entry.versions.empty()
+                                       ? size_t{0}
+                                       : entry.versions.back().data.size());
+    if (offset < entry.address + extent) {
+      out.push_back(&entry);
+    }
+  }
   return out;
 }
 

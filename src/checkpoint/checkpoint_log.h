@@ -35,7 +35,9 @@
 //     is a sorted vector, not a map.
 //   * Observer callbacks (OnPersist/OnAlloc/...) are thread-safe. Lock
 //     order: device stripes -> entry shard -> aux mutex (allocation and
-//     transaction maps).
+//     transaction maps). The address-view mutex is taken only by
+//     Overlapping and Restore, before any shard mutex, and never by an
+//     observer callback, so the persist path does not pay for the view.
 //   * Transaction attribution is per-thread: begin/persist/commit of one
 //     transaction run on the thread executing it. seq->tx pairs are staged
 //     in a thread-local buffer (no lock on the persist path) and published
@@ -281,7 +283,10 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // Entry at exactly `address`, or nullptr.
   const CheckpointEntry* Find(PmOffset address) const;
 
-  // Entries whose recorded range overlaps [offset, offset+size).
+  // Entries whose recorded range overlaps [offset, offset+size), in address
+  // order: a binary search plus a short walk over the address view (see
+  // address_view_). The first call after new entries appear re-sorts every
+  // entry into the view.
   std::vector<const CheckpointEntry*> Overlapping(PmOffset offset,
                                                   size_t size) const;
 
@@ -404,6 +409,10 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // Requires aux_mutex_; races with nothing when caller-serialized.
   void PublishTxBuffersLocked() const;
 
+  // Brings address_view_ up to date with the entries. Requires view_mutex_;
+  // takes each shard mutex in turn.
+  void RefreshAddressViewLocked() const;
+
   // State of the entry's extent after its first `upto` retained versions,
   // respecting the address's allocation epoch.
   std::vector<uint8_t> ReconstructState(const CheckpointEntry& entry,
@@ -439,8 +448,18 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // and index bytes (AddIndexBytes), for the capacity gauges.
   std::atomic<uint64_t> arena_bytes_{0};
   std::atomic<uint64_t> index_bytes_{0};
-  // Largest extent any entry ever reached (bounds the Overlapping scan).
+  // Largest extent any entry ever reached: an entry that can overlap an
+  // address starts less than this far below it (bounds the Overlapping
+  // walk).
   std::atomic<size_t> max_extent_{0};
+  // Every entry as (address, entry), sorted by address. Entries are never
+  // erased outside Restore, so the view is complete exactly when it holds
+  // entry_count_ of them; the first Overlapping after new entries appear
+  // rebuilds it, and Restore, which replaces the entries it points to,
+  // empties it.
+  mutable std::mutex view_mutex_;
+  mutable std::vector<std::pair<PmOffset, const CheckpointEntry*>>
+      address_view_;
   CheckpointStats stats_;
 };
 

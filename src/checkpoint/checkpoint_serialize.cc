@@ -214,6 +214,10 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
     return Corruption("trailing bytes in checkpoint-log image");
   }
 
+  // The address view points into the slots about to be replaced: drop it,
+  // and hold its mutex until entry_count_ describes the new slots.
+  std::lock_guard<std::mutex> view_lock(view_mutex_);
+  address_view_.clear();
   uint64_t total_entries = 0;
   uint64_t total_versions = 0;
   // The rebuild replaces the whole index: restart its byte accounting and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "obs/flight_recorder.h"
@@ -28,6 +29,18 @@ std::vector<SeqNum> Reactor::ComputeReversionPlan(
     const FaultInfo& fault, Tracer& tracer, const CheckpointLog& log,
     const ReactorConfig& config,
     std::vector<CandidateDecision>* explanation) {
+  std::vector<SeqNum> plan;
+  for (const PlannedCandidate& candidate :
+       PlanCandidates(fault, tracer, log, config, explanation)) {
+    plan.push_back(candidate.seq);
+  }
+  return plan;
+}
+
+std::vector<Reactor::PlannedCandidate> Reactor::PlanCandidates(
+    const FaultInfo& fault, Tracer& tracer, const CheckpointLog& log,
+    const ReactorConfig& config,
+    std::vector<CandidateDecision>* explanation) {
   const IrInstruction* fault_inst = model_.FindByGuid(fault.fault_guid);
   if (fault_inst == nullptr) {
     return {};
@@ -44,7 +57,16 @@ std::vector<SeqNum> Reactor::ComputeReversionPlan(
   // checkpoint log to build the candidate list (paper Section 4.4).
   ARTHAS_NAMED_SPAN(search_span, "reactor.search");
   ScopedTimer search_timer;
-  std::set<SeqNum> candidate_set;
+  // Every retained version of every entry overlapping an address a slice
+  // node touched. Many addresses land in one entry; its versions (and its
+  // realloc history) are read once.
+  std::vector<PlannedCandidate> plan;
+  auto append_versions = [&plan](const CheckpointEntry& entry) {
+    for (const CheckpointVersion& version : entry.versions) {
+      plan.push_back({version.seq_num, entry.address});
+    }
+  };
+  std::unordered_set<const CheckpointEntry*> joined;
   size_t distance = 0;
   for (const IrInstruction* node : slice.instructions) {
     if (distance++ > config.max_slice_distance) {
@@ -55,9 +77,10 @@ std::vector<SeqNum> Reactor::ComputeReversionPlan(
     }
     for (const PmOffset address : tracer.AddressesForGuid(node->guid())) {
       for (const CheckpointEntry* entry : log.Overlapping(address, 1)) {
-        for (const CheckpointVersion& version : entry->versions) {
-          candidate_set.insert(version.seq_num);
+        if (!joined.insert(entry).second) {
+          continue;
         }
+        append_versions(*entry);
         // Follow reallocation links (Figure 5's old_entry field, detailed
         // in the technical report): a resized persistent block's earlier
         // history lives at its previous addresses.
@@ -68,9 +91,7 @@ std::vector<SeqNum> Reactor::ComputeReversionPlan(
           if (older == nullptr) {
             break;
           }
-          for (const CheckpointVersion& version : older->versions) {
-            candidate_set.insert(version.seq_num);
-          }
+          append_versions(*older);
         }
       }
     }
@@ -80,47 +101,48 @@ std::vector<SeqNum> Reactor::ComputeReversionPlan(
   // Candidates recorded at the faulting PM address (when the failure
   // reported one, as a segfault's siginfo does) are tried first — they are
   // the most likely direct cause.
+  std::sort(plan.begin(), plan.end(),
+            [](const PlannedCandidate& a, const PlannedCandidate& b) {
+              return a.seq > b.seq;
+            });
+  plan.erase(std::unique(plan.begin(), plan.end(),
+                         [](const PlannedCandidate& a,
+                            const PlannedCandidate& b) {
+                           return a.seq == b.seq;
+                         }),
+             plan.end());
   std::vector<SeqNum> at_fault;
-  std::vector<SeqNum> rest;
-  std::set<SeqNum> at_fault_set;
   if (config.prioritize_fault_address &&
       fault.fault_address != kNullPmOffset) {
     for (const CheckpointEntry* entry :
          log.Overlapping(fault.fault_address, 1)) {
       for (const CheckpointVersion& version : entry->versions) {
-        if (candidate_set.count(version.seq_num) != 0) {
-          at_fault_set.insert(version.seq_num);
-        }
+        at_fault.push_back(version.seq_num);
       }
     }
   }
-  for (auto it = candidate_set.rbegin(); it != candidate_set.rend(); ++it) {
-    if (at_fault_set.count(*it) != 0) {
-      at_fault.push_back(*it);
-    } else {
-      rest.push_back(*it);
-    }
-  }
-  std::vector<SeqNum> plan = std::move(at_fault);
-  plan.insert(plan.end(), rest.begin(), rest.end());
+  const size_t at_fault_count = static_cast<size_t>(
+      std::stable_partition(plan.begin(), plan.end(),
+                            [&at_fault](const PlannedCandidate& c) {
+                              return std::find(at_fault.begin(),
+                                               at_fault.end(),
+                                               c.seq) != at_fault.end();
+                            }) -
+      plan.begin());
   // Stamp one decision per candidate: why it made the plan (faulting
-  // address vs dependency slice), or that it is no longer usable because
-  // every retained version was discarded since the trace joined it in.
+  // address vs dependency slice).
   for (size_t rank = 0; rank < plan.size(); rank++) {
-    const SeqNum s = plan[rank];
-    const bool locatable = log.LocateSeq(s).has_value();
-    const obs::FrReason reason =
-        !locatable            ? obs::FrReason::kVersionEvicted
-        : at_fault_set.count(s) != 0 ? obs::FrReason::kAtFaultAddress
+    const SeqNum s = plan[rank].seq;
+    const obs::FrReason reason = rank < at_fault_count
+                                     ? obs::FrReason::kAtFaultAddress
                                      : obs::FrReason::kSliceDependency;
-    ARTHAS_FLIGHT_RECORD(locatable ? obs::FrType::kCandidateAccept
-                                   : obs::FrType::kCandidateReject,
-                         0, s, 0, rank, reason);
+    ARTHAS_FLIGHT_RECORD(obs::FrType::kCandidateAccept, 0, s, 0, rank,
+                         reason);
     if (explanation != nullptr) {
       CandidateDecision decision;
       decision.seq = s;
       decision.rank = rank;
-      decision.accepted = locatable;
+      decision.accepted = true;
       decision.reason = obs::FrReasonName(reason);
       explanation->push_back(std::move(decision));
     }
@@ -140,7 +162,8 @@ uint64_t Reactor::RevertCandidate(SeqNum seq, Tracer& tracer,
   // unit the sequence number belongs to.
   std::vector<SeqNum> group = log.SeqsInSameTx(seq);
   std::sort(group.rbegin(), group.rend());
-  std::vector<std::pair<PmOffset, Guid>> reverted_sites;
+  // GUIDs of the instructions that touched a reverted address.
+  std::set<Guid> reverted_guids;
   for (const SeqNum s : group) {
     auto located = log.LocateSeq(s);
     if (!located.has_value()) {
@@ -150,7 +173,7 @@ uint64_t Reactor::RevertCandidate(SeqNum seq, Tracer& tracer,
     if (log.RevertSeq(s).ok()) {
       reverted++;
       for (const Guid g : tracer.GuidsForRange(address, 1)) {
-        reverted_sites.push_back({address, g});
+        reverted_guids.insert(g);
       }
     }
   }
@@ -162,31 +185,36 @@ uint64_t Reactor::RevertCandidate(SeqNum seq, Tracer& tracer,
     // persists) are actually forward-dependent on the reverted value, so
     // the pass is bounded to that window.
     constexpr SeqNum kForwardWindow = 32;
-    std::set<SeqNum> forward;
-    for (const auto& [address, guid] : reverted_sites) {
+    // Forward slices of different sites share nodes: join each GUID once.
+    std::set<Guid> forward_guids;
+    for (const Guid guid : reverted_guids) {
       const IrInstruction* inst = model_.FindByGuid(guid);
       if (inst == nullptr) {
         continue;
       }
-      const SliceResult fwd = slicer_->ForwardPersistent(inst);
-      for (const IrInstruction* node : fwd.instructions) {
-        if (node == inst || node->guid() == kNoGuid) {
-          continue;
+      for (const IrInstruction* node :
+           slicer_->ForwardPersistent(inst).instructions) {
+        if (node != inst && node->guid() != kNoGuid) {
+          forward_guids.insert(node->guid());
         }
-        for (const PmOffset addr : tracer.AddressesForGuid(node->guid())) {
-          for (const CheckpointEntry* entry : log.Overlapping(addr, 1)) {
-            for (const CheckpointVersion& v : entry->versions) {
-              if (v.seq_num > seq && v.seq_num <= seq + kForwardWindow) {
-                forward.insert(v.seq_num);
-              }
+      }
+    }
+    std::set<SeqNum> forward;
+    for (const Guid guid : forward_guids) {
+      for (const PmOffset addr : tracer.AddressesForGuid(guid)) {
+        for (const CheckpointEntry* entry : log.Overlapping(addr, 1)) {
+          for (const CheckpointVersion& v : entry->versions) {
+            if (v.seq_num > seq && v.seq_num <= seq + kForwardWindow) {
+              forward.insert(v.seq_num);
             }
           }
         }
       }
     }
-    // Newest first.
+    // Newest first. RevertSeq fails on a version an earlier revert in this
+    // pass already discarded.
     for (auto it = forward.rbegin(); it != forward.rend(); ++it) {
-      if (log.LocateSeq(*it).has_value() && log.RevertSeq(*it).ok()) {
+      if (log.RevertSeq(*it).ok()) {
         reverted++;
       }
     }
@@ -275,8 +303,9 @@ MitigationOutcome Reactor::Mitigate(const FaultInfo& fault, Tracer& tracer,
   ARTHAS_NAMED_SPAN(mitigate_span, "reactor.mitigate");
   mitigate_span.AddAttr("fault", std::string(FailureKindName(fault.kind)));
   const VirtualTime start = clock.Now();
-  std::vector<SeqNum> plan = ComputeReversionPlan(fault, tracer, log, config);
-  if (plan.empty()) {
+  const std::vector<PlannedCandidate> planned =
+      PlanCandidates(fault, tracer, log, config, nullptr);
+  if (planned.empty()) {
     // Detector false alarm or non-PM failure: abort to a simple restart
     // (Section 4.5).
     outcome.empty_plan = true;
@@ -289,14 +318,15 @@ MitigationOutcome Reactor::Mitigate(const FaultInfo& fault, Tracer& tracer,
     return outcome;
   }
 
-  // Addresses touched by the plan, for the older-version retry rounds.
+  // The plan, and the addresses it touches for the older-version retry
+  // rounds.
+  std::vector<SeqNum> plan;
   std::vector<PmOffset> plan_addresses;
-  for (const SeqNum s : plan) {
-    auto loc = log.LocateSeq(s);
-    if (loc.has_value() &&
-        std::find(plan_addresses.begin(), plan_addresses.end(), loc->first) ==
-            plan_addresses.end()) {
-      plan_addresses.push_back(loc->first);
+  std::unordered_set<PmOffset> seen_addresses;
+  for (const PlannedCandidate& candidate : planned) {
+    plan.push_back(candidate.seq);
+    if (seen_addresses.insert(candidate.address).second) {
+      plan_addresses.push_back(candidate.address);
     }
   }
 

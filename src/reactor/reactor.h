@@ -20,8 +20,13 @@
 // report.
 //
 // Mirroring the client-server split of Section 5, the constructor does the
-// expensive static work (pointer analysis, PDG) once; Mitigate() calls are
-// then fast, with only slicing on the critical path.
+// expensive static work (pointer analysis, PDG) once. A Mitigate() call
+// still does more than slicing on its critical path: the slice costs about
+// 0.1 ms, but the search that joins it with the trace and the checkpoint
+// log (once for the plan, and again for each purge forward pass) visits
+// every address the slice's instructions touched. The log's address view
+// keeps each visit a binary search (DESIGN.md §3b "Trace ⋈ checkpoint
+// join").
 
 #ifndef ARTHAS_REACTOR_REACTOR_H_
 #define ARTHAS_REACTOR_REACTOR_H_
@@ -106,8 +111,10 @@ struct MitigationOutcome {
 
 // One entry per candidate the planner considered, in plan order. `reason`
 // is a stable token (flight-recorder reason name): why the candidate made
-// the plan ("at_fault_address", "slice_dependency") or why it is unusable
-// ("version_evicted" when every retained version was already discarded).
+// the plan ("at_fault_address", "slice_dependency"). Every candidate is
+// read off a version the log still retains, so at plan time each one is
+// accepted; a candidate a later reversion discards is rejected in the
+// flight recorder ("version_evicted") when the mitigation loop reaches it.
 struct CandidateDecision {
   SeqNum seq = 0;
   uint64_t rank = 0;  // 0-based position in the plan
@@ -167,6 +174,19 @@ class Reactor {
   const PmVariableInfo& pm_info() const { return *pm_info_; }
 
  private:
+  // A plan candidate and the address of the entry whose retained version it
+  // was read from: what LocateSeq would answer at plan time.
+  struct PlannedCandidate {
+    SeqNum seq = kNoSeq;
+    PmOffset address = kNullPmOffset;
+  };
+
+  // ComputeReversionPlan, keeping each candidate's entry address.
+  std::vector<PlannedCandidate> PlanCandidates(
+      const FaultInfo& fault, Tracer& tracer, const CheckpointLog& log,
+      const ReactorConfig& config,
+      std::vector<CandidateDecision>* explanation);
+
   // Reverts `seq` plus its transaction group (Section 4.6); in purge mode
   // optionally follows forward dependencies (Section 4.4). Returns the
   // number of updates reverted.

@@ -7,7 +7,8 @@
 // computes the PDG in the background, re-uses it until the code changes,
 // and incrementally parses the trace file; the detector contacts it over
 // RPC when a hard failure is suspected, and the server answers with a
-// reversion plan quickly (only slicing is on the critical path — Table 9).
+// reversion plan quickly (the paper puts only slicing on the critical path
+// — Table 9; the trace ⋈ checkpoint join is on it too, see reactor.h).
 //
 // This facade reproduces that split in-process: requests and responses are
 // plain serializable structs (the RPC boundary), the server owns the

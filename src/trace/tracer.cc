@@ -1,9 +1,10 @@
 #include "trace/tracer.h"
 
 #include <algorithm>
-#include <set>
-#include <sstream>
+#include <charconv>
+#include <limits>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "obs/obs.h"
 
@@ -11,6 +12,23 @@ namespace arthas {
 
 namespace {
 std::atomic<uint64_t> g_next_tracer_id{1};
+
+// Digits of the longest uint64_t in decimal.
+constexpr size_t kMaxDecimalDigits =
+    std::numeric_limits<uint64_t>::digits10 + 1;
+
+struct GuidAddressHash {
+  size_t operator()(const std::pair<Guid, PmOffset>& p) const {
+    return std::hash<uint64_t>()(p.first * 0x9E3779B97F4A7C15ULL ^ p.second);
+  }
+};
+
+// Parses [first, last) as one whole unsigned decimal number, rejecting an
+// empty field, any other character, and values that overflow.
+bool ParseDecimal(const char* first, const char* last, uint64_t* value) {
+  const auto [ptr, ec] = std::from_chars(first, last, *value);
+  return ec == std::errc() && ptr == last;
+}
 
 // Per-thread map: tracer id -> that tracer's buffer for this thread. Ids
 // are never reused, so an entry left behind by a destroyed tracer can never
@@ -90,7 +108,8 @@ void Tracer::RebuildIndex() {
   }
   by_guid_.clear();
   by_address_.clear();
-  std::set<std::pair<Guid, PmOffset>> seen;
+  std::unordered_set<std::pair<Guid, PmOffset>, GuidAddressHash> seen;
+  seen.reserve(archive_.size());
   by_address_.reserve(archive_.size());
   for (const TraceEvent& e : archive_) {
     if (seen.insert({e.guid, e.address}).second) {
@@ -146,26 +165,38 @@ std::vector<Guid> Tracer::GuidsForRange(PmOffset offset, size_t size) {
 std::string Tracer::Serialize() {
   Flush();
   std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream out;
+  // Room for the longest possible line per event, cut to what was written.
+  constexpr size_t kMaxLine = 2 * kMaxDecimalDigits + 2;
+  std::string out(archive_.size() * kMaxLine, '\0');
+  char* cursor = out.data();
+  char* const end = out.data() + out.size();
   for (const TraceEvent& e : archive_) {
-    out << e.guid << '\t' << e.address << '\n';
+    cursor = std::to_chars(cursor, end, e.guid).ptr;
+    *cursor++ = '\t';
+    cursor = std::to_chars(cursor, end, e.address).ptr;
+    *cursor++ = '\n';
   }
-  return out.str();
+  out.resize(static_cast<size_t>(cursor - out.data()));
+  return out;
 }
 
 Status Tracer::ParseAppend(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
+  const char* cursor = text.data();
+  const char* const end = text.data() + text.size();
+  while (cursor != end) {
+    const char* eol = std::find(cursor, end, '\n');
+    if (eol != cursor) {
+      const char* tab = std::find(cursor, eol, '\t');
+      Guid guid = kNoGuid;
+      PmOffset address = kNullPmOffset;
+      if (tab == eol || !ParseDecimal(cursor, tab, &guid) ||
+          !ParseDecimal(tab + 1, eol, &address)) {
+        return Corruption("malformed trace line: " +
+                          std::string(cursor, eol));
+      }
+      Record(guid, address);
     }
-    const size_t tab = line.find('\t');
-    if (tab == std::string::npos) {
-      return Corruption("malformed trace line: " + line);
-    }
-    Record(std::stoull(line.substr(0, tab)),
-           std::stoull(line.substr(tab + 1)));
+    cursor = eol == end ? end : eol + 1;
   }
   return OkStatus();
 }

@@ -100,6 +100,9 @@ class Tracer {
 
   // Serialize the archive in the "guid<TAB>address" trace-file format.
   std::string Serialize();
+  // Records every line of a trace file. A line that is not two unsigned
+  // decimal numbers separated by a tab is Corruption; lines before it stay
+  // recorded.
   Status ParseAppend(const std::string& text);
 
   void Clear();

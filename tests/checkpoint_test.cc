@@ -1,10 +1,14 @@
 // Tests for the versioned checkpoint log: recording at durability points,
 // version rings, transaction grouping, realloc linkage, reversion.
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <thread>
 
 #include "checkpoint/checkpoint_log.h"
+#include "common/rng.h"
 #include "pmem/pool.h"
 #include "pmem/tx.h"
 
@@ -176,6 +180,169 @@ TEST_F(CheckpointTest, OverlappingFindsCoveringEntry) {
   auto hits = log_->Overlapping(oid.off + 50, 1);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0]->address, oid.off);
+}
+
+// The linear scan Overlapping used before the address view, kept as the
+// reference: every entry whose recorded extent overlaps [offset,
+// offset + size), in address order. (The scan also skipped entries that
+// start at least the log's largest extent below `offset`; none of them
+// can overlap, since every entry's extent, a realloc target's included,
+// counts toward that bound.)
+std::vector<const CheckpointEntry*> LinearOverlapping(const CheckpointLog& log,
+                                                      PmOffset offset,
+                                                      size_t size) {
+  std::vector<const CheckpointEntry*> out;
+  log.ForEachEntry([&](const CheckpointEntry& entry) {
+    const size_t extent = std::max(entry.original.size(),
+                                   entry.versions.empty()
+                                       ? size_t{0}
+                                       : entry.versions.back().data.size());
+    if (entry.address < offset + size && offset < entry.address + extent) {
+      out.push_back(&entry);
+    }
+  });
+  std::sort(out.begin(), out.end(),
+            [](const CheckpointEntry* a, const CheckpointEntry* b) {
+              return a->address < b->address;
+            });
+  return out;
+}
+
+// Compares Overlapping with the linear scan at both edges of every entry
+// and at random ranges across the pool.
+void ExpectOverlappingMatchesLinearScan(const CheckpointLog& log, Rng& rng,
+                                        size_t pool_bytes) {
+  std::vector<std::pair<PmOffset, size_t>> probes;
+  log.ForEachEntry([&probes](const CheckpointEntry& entry) {
+    const size_t extent = entry.original.size();
+    for (const PmOffset at : {entry.address - 1, entry.address,
+                              entry.address + extent - 1,
+                              entry.address + extent}) {
+      probes.push_back({at, 1});
+    }
+  });
+  for (int i = 0; i < 400; i++) {
+    probes.push_back({rng.NextBelow(pool_bytes), size_t{1} << (i % 11)});
+  }
+  for (const auto& [offset, size] : probes) {
+    ASSERT_EQ(log.Overlapping(offset, size),
+              LinearOverlapping(log, offset, size))
+        << "offset " << offset << " size " << size;
+  }
+}
+
+TEST_F(CheckpointTest, IndexedOverlappingMatchesLinearScan) {
+  // A second log on the same pool records the same entries and answers
+  // queries throughout; at the end it is restored from the first log's
+  // image, which has exactly as many entries as its stale view would.
+  CheckpointLog restored(*pool_);
+  const size_t pool_bytes = pool_->device().size();
+  Rng rng(20210426);
+  std::vector<std::pair<Oid, size_t>> objects;
+  auto fill_and_persist = [&](size_t index, size_t offset, size_t size) {
+    const Oid oid = objects[index].first;
+    for (size_t i = 0; i < size; i++) {
+      pool_->Direct<uint8_t>(oid)[offset + i] =
+          static_cast<uint8_t>(rng.NextU64());
+    }
+    pool_->Persist(oid, offset, size);
+  };
+  for (int round = 0; round < 8; round++) {
+    for (int i = 0; i < 12; i++) {
+      const size_t size = 16 + rng.NextBelow(497);
+      objects.push_back({*pool_->Zalloc(size), size});
+    }
+    for (int i = 0; i < 80; i++) {
+      const size_t index = rng.NextBelow(objects.size());
+      const size_t size = objects[index].second;
+      switch (rng.NextBelow(3)) {
+        case 0:  // a small field at a random offset
+        {
+          const size_t len = 1 + rng.NextBelow(std::min<size_t>(size, 16));
+          fill_and_persist(index, rng.NextBelow(size - len + 1), len);
+          break;
+        }
+        case 1:  // the first word, then later the whole object: the entry
+                 // at the object's start grows its extent
+          fill_and_persist(index, 0, 8);
+          break;
+        default:
+          fill_and_persist(index, 0, size);
+          break;
+      }
+    }
+    // Reallocations link the new entry to the old one's history; the new
+    // block is bigger than anything persisted so far.
+    for (int i = 0; i < 2; i++) {
+      const size_t index = rng.NextBelow(objects.size());
+      const size_t size = 2048 + rng.NextBelow(2048);
+      auto grown = pool_->Realloc(objects[index].first, size);
+      ASSERT_TRUE(grown.ok());
+      objects[index] = {*grown, size};
+    }
+    // Reverts discard the newest (and, from the middle, newer) versions.
+    for (int i = 0; i < 10; i++) {
+      const CheckpointEntry* entry =
+          log_->Find(objects[rng.NextBelow(objects.size())].first.off);
+      if (entry != nullptr && !entry->versions.empty()) {
+        const SeqNum seq =
+            entry->versions[rng.NextBelow(entry->versions.size())].seq_num;
+        ASSERT_TRUE(log_->RevertSeq(seq).ok());
+      }
+    }
+    // Entries created since the previous round force a rebuild here.
+    ExpectOverlappingMatchesLinearScan(*log_, rng, pool_bytes);
+    ExpectOverlappingMatchesLinearScan(restored, rng, pool_bytes);
+  }
+  ASSERT_EQ(restored.entry_count(), log_->entry_count());
+  ASSERT_TRUE(restored.Restore(log_->Serialize()).ok());
+  ExpectOverlappingMatchesLinearScan(restored, rng, pool_bytes);
+  for (PmOffset offset = 0; offset < pool_bytes; offset += 61) {
+    const auto mine = log_->Overlapping(offset, 64);
+    const auto theirs = restored.Overlapping(offset, 64);
+    ASSERT_EQ(mine.size(), theirs.size()) << "offset " << offset;
+    for (size_t i = 0; i < mine.size(); i++) {
+      EXPECT_EQ(mine[i]->address, theirs[i]->address);
+    }
+  }
+}
+
+TEST_F(CheckpointTest, OverlappingRunsAlongsideConcurrentPersists) {
+  // Queries rebuild and walk the address view while writer threads persist
+  // and create entries. The persist path never takes the view's mutex, and
+  // the thread-sanitizer job runs this test.
+  constexpr size_t kWriters = 2;
+  constexpr size_t kObjects = 64;
+  std::vector<Oid> objects;
+  for (size_t i = 0; i < kWriters * kObjects; i++) {
+    objects.push_back(*pool_->Zalloc(64));
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; w++) {
+    writers.emplace_back([&, w] {
+      for (size_t round = 0; !stop.load(); round++) {
+        // Each object gains an entry per 8-byte field over time.
+        pool_->Persist(objects[w * kObjects + round % kObjects],
+                       8 * (round / kObjects % 8), 8);
+      }
+    });
+  }
+  // Query until every field of every object has its entry.
+  size_t hits = 0;
+  for (size_t i = 0; i < 2000 || log_->entry_count() < 8 * objects.size();
+       i++) {
+    hits += log_->Overlapping(objects[i % objects.size()].off, 64).size();
+  }
+  stop = true;
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+  EXPECT_GT(hits, 0u);
+  for (const Oid& oid : objects) {
+    EXPECT_EQ(log_->Overlapping(oid.off, 64),
+              LinearOverlapping(*log_, oid.off, 64));
+  }
 }
 
 TEST_F(CheckpointTest, LocateSeqFindsEntryAndVersion) {

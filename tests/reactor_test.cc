@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "analysis/slicer.h"
 #include "checkpoint/checkpoint_log.h"
+#include "common/crc32.h"
 #include "reactor/reactor.h"
+#include "reactor/reactor_server.h"
+#include "systems/memcached_mini.h"
+#include "systems/redis_mini.h"
 #include "systems/system_base.h"
 
 namespace arthas {
@@ -277,6 +284,309 @@ TEST_F(ReactorTest, LeakMitigationFreesUnreachableOnly) {
   EXPECT_TRUE(outcome.recovered);
   EXPECT_EQ(outcome.freed_leak_objects, 1u);
   EXPECT_EQ(target_->pool().stats().live_objects, live_before - 1);
+}
+
+// The reversion plan by brute force, straight from its definition: the
+// fault's persistent backward slice (capped at max_slice_distance), each
+// slice GUID's traced addresses, every checkpoint entry overlapping one of
+// them (found by scanning all entries), and the retained versions of those
+// entries and of the entries their old_entry links reach. De-duplicated;
+// candidates at the fault address first, each group newest first.
+struct ReferencePlan {
+  std::vector<SeqNum> seqs;
+  size_t at_fault = 0;  // seqs[0, at_fault) sit at the fault address
+};
+
+ReferencePlan BruteForcePlan(const Reactor& reactor, const IrModule& model,
+                             const FaultInfo& fault, Tracer& tracer,
+                             const CheckpointLog& log,
+                             const ReactorConfig& config) {
+  ReferencePlan plan;
+  const IrInstruction* fault_inst = model.FindByGuid(fault.fault_guid);
+  if (fault_inst == nullptr) {
+    return plan;
+  }
+  std::vector<const CheckpointEntry*> entries;
+  log.ForEachEntry(
+      [&entries](const CheckpointEntry& entry) { entries.push_back(&entry); });
+  auto overlapping = [&entries](PmOffset address) {
+    std::vector<const CheckpointEntry*> out;
+    for (const CheckpointEntry* entry : entries) {
+      const size_t extent =
+          std::max(entry->original.size(),
+                   entry->versions.empty()
+                       ? size_t{0}
+                       : entry->versions.back().data.size());
+      if (entry->address <= address && address < entry->address + extent) {
+        out.push_back(entry);
+      }
+    }
+    return out;
+  };
+  std::set<SeqNum> candidates;
+  const Slicer slicer(reactor.pdg(), reactor.pm_info());
+  size_t distance = 0;
+  for (const IrInstruction* node :
+       slicer.BackwardPersistent(fault_inst).instructions) {
+    if (distance++ > config.max_slice_distance) {
+      break;
+    }
+    if (node->guid() == kNoGuid) {
+      continue;
+    }
+    for (const PmOffset address : tracer.AddressesForGuid(node->guid())) {
+      for (const CheckpointEntry* entry : overlapping(address)) {
+        // The entry itself, then up to 16 realloc hops.
+        for (int hop = 0; entry != nullptr && hop <= 16; hop++) {
+          for (const CheckpointVersion& version : entry->versions) {
+            candidates.insert(version.seq_num);
+          }
+          entry = entry->old_entry == kNullPmOffset
+                      ? nullptr
+                      : log.Find(entry->old_entry);
+        }
+      }
+    }
+  }
+  std::set<SeqNum> at_fault;
+  if (config.prioritize_fault_address &&
+      fault.fault_address != kNullPmOffset) {
+    for (const CheckpointEntry* entry : overlapping(fault.fault_address)) {
+      for (const CheckpointVersion& version : entry->versions) {
+        if (candidates.count(version.seq_num) != 0) {
+          at_fault.insert(version.seq_num);
+        }
+      }
+    }
+  }
+  plan.seqs.assign(at_fault.rbegin(), at_fault.rend());
+  plan.at_fault = plan.seqs.size();
+  for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
+    if (at_fault.count(*it) == 0) {
+      plan.seqs.push_back(*it);
+    }
+  }
+  return plan;
+}
+
+// The plan and its decision list (what EXPLAIN serves) both equal the
+// brute-force join, which is returned.
+ReferencePlan ExpectPlanMatchesBruteForce(Reactor& reactor,
+                                          const IrModule& model,
+                                          const FaultInfo& fault,
+                                          Tracer& tracer,
+                                          const CheckpointLog& log,
+                                          const ReactorConfig& config) {
+  const ReferencePlan expected =
+      BruteForcePlan(reactor, model, fault, tracer, log, config);
+  std::vector<CandidateDecision> decisions;
+  EXPECT_EQ(reactor.ComputeReversionPlan(fault, tracer, log, config,
+                                         &decisions),
+            expected.seqs);
+  EXPECT_EQ(decisions.size(), expected.seqs.size());
+  for (size_t i = 0; i < decisions.size() && i < expected.seqs.size(); i++) {
+    EXPECT_EQ(decisions[i].seq, expected.seqs[i]);
+    EXPECT_EQ(decisions[i].rank, i);
+    EXPECT_TRUE(decisions[i].accepted);
+    EXPECT_EQ(decisions[i].reason, i < expected.at_fault
+                                       ? "at_fault_address"
+                                       : "slice_dependency");
+  }
+  return expected;
+}
+
+TEST_F(ReactorTest, PlanMatchesBruteForceJoin) {
+  for (int i = 0; i < 4; i++) {
+    target_->StoreFlag(1 + i);
+    target_->StoreData(10 + i);
+    target_->StoreOther(99 + i);
+  }
+  const FaultInfo fault = TriggerFault();
+  Reactor reactor(target_->ir_model(), target_->guid_registry());
+  ReactorConfig config;
+  const ReferencePlan hinted = ExpectPlanMatchesBruteForce(
+      reactor, target_->ir_model(), fault, target_->tracer(), *log_, config);
+  EXPECT_GT(hinted.at_fault, 0u);
+  config.prioritize_fault_address = false;
+  EXPECT_EQ(ExpectPlanMatchesBruteForce(reactor, target_->ir_model(), fault,
+                                        target_->tracer(), *log_, config)
+                .at_fault,
+            0u);
+  config.max_slice_distance = 0;
+  ExpectPlanMatchesBruteForce(reactor, target_->ir_model(), fault,
+                              target_->tracer(), *log_, config);
+}
+
+Request Op(Request::Op op, const std::string& key, const std::string& value) {
+  Request r;
+  r.op = op;
+  r.key = key;
+  r.value = value;
+  return r;
+}
+
+const std::string kVictimValue(210, 'v');
+
+MemcachedOptions F4Options() {
+  MemcachedOptions options;
+  options.pool_size = 8 * 1024 * 1024;
+  options.hashtable_buckets = 1024;
+  return options;
+}
+
+// The benchmark's f4 recipe, in process: two buddy items, a write history
+// over other keys, then an append that overruns into the victim, whose GET
+// faults.
+class MemcachedF4Test : public ::testing::Test {
+ protected:
+  MemcachedF4Test() : mc(F4Options()), log(mc.pool()) {}
+
+  void SetUp() override {
+    mc.ArmFault(FaultId::kF4AppendIntOverflow);
+    ASSERT_TRUE(
+        mc.Handle(Op(Request::Op::kPut, "appendee", std::string(200, 'a')))
+            .status.ok());
+    ASSERT_TRUE(mc.Handle(Op(Request::Op::kPut, "f4victim", kVictimValue))
+                    .status.ok());
+    for (int i = 0; i < 600; i++) {
+      const std::string key = "k" + std::to_string(i % 97);
+      ASSERT_TRUE(
+          mc.Handle(Op(Request::Op::kPut, key,
+                       std::string(232, static_cast<char>('a' + i % 26))))
+              .status.ok());
+      if (i % 10 == 9) {
+        ASSERT_TRUE(
+            mc.Handle(Op(Request::Op::kAppend, key, std::string(8, 'z')))
+                .status.ok());
+      }
+    }
+    ASSERT_TRUE(
+        mc.Handle(Op(Request::Op::kAppend, "appendee", std::string(100, 'b')))
+            .status.ok());
+    (void)mc.Handle(Op(Request::Op::kGet, "f4victim", ""));
+    ASSERT_TRUE(mc.last_fault().has_value());
+    fault = *mc.last_fault();
+  }
+
+  MemcachedMini mc;
+  CheckpointLog log;
+  FaultInfo fault;
+};
+
+TEST_F(MemcachedF4Test, PlanAndExplainMatchBruteForceJoin) {
+  Reactor reactor(mc.ir_model(), mc.guid_registry());
+  const ReferencePlan expected = ExpectPlanMatchesBruteForce(
+      reactor, mc.ir_model(), fault, mc.tracer(), log, ReactorConfig{});
+  ASSERT_GT(expected.seqs.size(), 100u);
+
+  // EXPLAIN serves the same decisions from the trace file it ingested.
+  ReactorServer server(mc.ir_model(), mc.guid_registry());
+  ASSERT_TRUE(server.IngestTrace(mc.tracer().Serialize()).ok());
+  MitigationRequest request;
+  request.fault = fault;
+  const ExplainResponse explain = server.Explain(request, log);
+  ASSERT_EQ(explain.candidates.size(), expected.seqs.size());
+  for (size_t i = 0; i < expected.seqs.size(); i++) {
+    EXPECT_EQ(explain.candidates[i].seq, expected.seqs[i]);
+    EXPECT_EQ(explain.candidates[i].reason, i < expected.at_fault
+                                                ? "at_fault_address"
+                                                : "slice_dependency");
+  }
+}
+
+TEST_F(MemcachedF4Test, MitigationLeavesPinnedDurableImage) {
+  auto reexecute = [this]() {
+    RunObservation obs;
+    (void)mc.Restart();
+    (void)mc.Handle(Op(Request::Op::kGet, "f4victim", ""));
+    obs.fault = mc.last_fault();
+    obs.item_count = mc.ItemCount();
+    return obs;
+  };
+  Reactor reactor(mc.ir_model(), mc.guid_registry());
+  VirtualClock clock;
+  const MitigationOutcome outcome =
+      reactor.Mitigate(fault, mc.tracer(), log, mc, reexecute, clock);
+  ASSERT_TRUE(outcome.recovered) << outcome.detail;
+  EXPECT_EQ(outcome.reexecutions, 2);
+  EXPECT_EQ(outcome.reverted_updates, 2u);
+  // The whole durable image after mitigation, pinned: a plan that reverts
+  // other updates, or the same ones in another order, changes it.
+  const PmemDevice& device = mc.pool().device();
+  EXPECT_EQ(Crc32c(device.Durable(0), device.size()), 0x68457797u);
+  const Response victim = mc.Handle(Op(Request::Op::kGet, "f4victim", ""));
+  ASSERT_TRUE(victim.status.ok());
+  EXPECT_EQ(victim.value, kVictimValue);
+}
+
+TEST(ReactorPlanTest, MemcachedF2HintedPlanMatchesBruteForceJoin) {
+  // A flush_all cutoff in the future hides every item; the GET that must
+  // find one reports the cutoff's address, so the plan puts the cutoff's
+  // versions first and the newer dependency candidates after them.
+  MemcachedMini mc;
+  CheckpointLog log(mc.pool());
+  mc.ArmFault(FaultId::kF2FlushAllLogic);
+  for (int i = 0; i < 40; i++) {
+    ASSERT_TRUE(mc.Handle(Op(Request::Op::kPut, "k" + std::to_string(i % 13),
+                             std::string(16 + i, 'x')))
+                    .status.ok());
+  }
+  Request flush;
+  flush.op = Request::Op::kFlushAll;
+  flush.int_arg = 600;
+  ASSERT_TRUE(mc.Handle(flush).status.ok());
+  // Updates newer than the cutoff, so the hint reorders the plan.
+  for (int i = 0; i < 8; i++) {
+    ASSERT_TRUE(mc.Handle(Op(Request::Op::kPut, "n" + std::to_string(i),
+                             std::string(24, 'y')))
+                    .status.ok());
+  }
+  Request get = Op(Request::Op::kGet, "k1", "");
+  get.must_exist = true;
+  (void)mc.Handle(get);
+  ASSERT_TRUE(mc.last_fault().has_value());
+  Reactor reactor(mc.ir_model(), mc.guid_registry());
+  const ReferencePlan expected =
+      ExpectPlanMatchesBruteForce(reactor, mc.ir_model(), *mc.last_fault(),
+                                  mc.tracer(), log, ReactorConfig{});
+  EXPECT_GT(expected.at_fault, 0u);
+  EXPECT_GT(expected.seqs.size(), expected.at_fault + 1);
+}
+
+TEST(ReactorPlanTest, ReallocChainPlanMatchesBruteForceJoin) {
+  // Listpack growth reallocates. With the trace cleared after the growth,
+  // the listpack's earlier addresses are reachable only through old_entry
+  // links, so the join must follow them.
+  RedisMini rd;
+  CheckpointLog log(rd.pool());
+  for (int i = 0; i < 24; i++) {
+    ASSERT_TRUE(rd.Handle(Op(Request::Op::kListPush, "list",
+                             std::string(40, static_cast<char>('a' + i))))
+                    .status.ok());
+  }
+  rd.tracer().Clear();
+  ASSERT_TRUE(
+      rd.Handle(Op(Request::Op::kListPush, "list", std::string(40, 'z')))
+          .status.ok());
+  std::set<PmOffset> old_addresses;
+  log.ForEachEntry([&old_addresses](const CheckpointEntry& entry) {
+    if (entry.old_entry != kNullPmOffset) {
+      old_addresses.insert(entry.old_entry);
+    }
+  });
+  ASSERT_FALSE(old_addresses.empty()) << "no reallocation was recorded";
+  FaultInfo fault;
+  fault.kind = FailureKind::kCrash;
+  fault.fault_guid = kGuidRdLpRead;
+  Reactor reactor(rd.ir_model(), rd.guid_registry());
+  const ReferencePlan expected = ExpectPlanMatchesBruteForce(
+      reactor, rd.ir_model(), fault, rd.tracer(), log, ReactorConfig{});
+  bool reaches_old = false;
+  for (const SeqNum seq : expected.seqs) {
+    auto located = log.LocateSeq(seq);
+    reaches_old |= located.has_value() && old_addresses.count(located->first);
+  }
+  EXPECT_TRUE(reaches_old);
 }
 
 TEST_F(ReactorTest, StaticAnalysisTimingsPopulated) {

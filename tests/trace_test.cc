@@ -147,5 +147,33 @@ TEST(TracerTest, SerializeRoundTrip) {
   EXPECT_EQ(other.AddressesForGuid(5)[0], 123u);
 }
 
+TEST(TracerTest, SerializeWritesOneDecimalLinePerEvent) {
+  Tracer tracer;
+  tracer.Record(5, 123);
+  tracer.Record(~Guid{0}, ~PmOffset{0} - 1);
+  const std::string text = tracer.Serialize();
+  EXPECT_EQ(text,
+            "5\t123\n18446744073709551615\t18446744073709551614\n");
+  Tracer other;
+  ASSERT_TRUE(other.ParseAppend(text + "\n").ok());  // blank lines skip
+  const std::vector<TraceEvent> events = other.Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].guid, ~Guid{0});
+  EXPECT_EQ(events[1].address, ~PmOffset{0} - 1);
+}
+
+TEST(TracerTest, ParseAppendRejectsMalformedFieldsAsCorruption) {
+  for (const char* line :
+       {"x\t1", "1\tx", "5\t", "\t5", "5 6", "5\t12abc", "-1\t5",
+        "99999999999999999999999\t1", "1\t18446744073709551616"}) {
+    Tracer tracer;
+    const Status status =
+        tracer.ParseAppend("7\t8\n" + std::string(line) + "\n9\t10\n");
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << line;
+    // Lines before the bad one were recorded; nothing after it was.
+    EXPECT_EQ(tracer.EventCount(), 1u) << line;
+  }
+}
+
 }  // namespace
 }  // namespace arthas
