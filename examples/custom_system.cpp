@@ -61,7 +61,6 @@ class TaskQueue : public PmSystemBase {
     // policy). The bug writes it to field 0 (the next pointer) instead of
     // field 1.
     if (task->next != 0) {
-      Task* behind = pool_->Direct<Task>(Oid{task->next});
       const PmOffset target =
           task->next + (buggy ? offsetof(Task, next) : offsetof(Task, priority));
       *reinterpret_cast<uint64_t*>(pool_->device().Live(target)) = priority;

@@ -294,6 +294,7 @@ void PmemDevice::Crash() {
 #endif
   ClearPending();
   std::memcpy(live_.data(), durable_.data(), live_.size());
+  image_generation_.fetch_add(1, std::memory_order_release);
   stats_.crashes++;
 }
 
@@ -317,6 +318,7 @@ Status PmemDevice::RestoreDurable(const std::vector<uint8_t>& image) {
   durable_ = image;
   std::memcpy(live_.data(), durable_.data(), live_.size());
   ClearPending();
+  image_generation_.fetch_add(1, std::memory_order_release);
   ARTHAS_FLIGHT_RECORD(obs::FrType::kRestore, device_id_, 0, image.size(), 0);
   return OkStatus();
 }
@@ -347,6 +349,13 @@ Status PmemDevice::LoadFromFile(const std::string& path) {
     return Corruption("short read from " + path);
   }
   std::memcpy(live_.data(), durable_.data(), live_.size());
+  // Lines staged before the load belong to the replaced image; a later
+  // Drain would report them to observers as a persist of loaded bytes the
+  // program never wrote.
+  ClearPending();
+  image_generation_.fetch_add(1, std::memory_order_release);
+  ARTHAS_FLIGHT_RECORD(obs::FrType::kRestore, device_id_, 0, durable_.size(),
+                       0);
   return OkStatus();
 }
 

@@ -196,9 +196,24 @@ class PmemDevice {
   std::vector<uint8_t> SnapshotDurable() const;
   Status RestoreDurable(const std::vector<uint8_t>& image);
 
-  // Save/load the durable image to a file, for cross-process style use.
+  // Save/load the durable image to a file, for cross-process style use. A
+  // successful load replaces both images like RestoreDurable: lines staged
+  // before it are dropped, never drained into the loaded image.
   Status SaveToFile(const std::string& path) const;
   Status LoadFromFile(const std::string& path);
+
+  // Counts wholesale replacements of the live image: Crash, RestoreDurable
+  // and a successful LoadFromFile each bump it once; no other operation
+  // does (RawRestore rewrites only the ranges its caller names). A volatile
+  // cache derived from image contents records the generation it was built
+  // from and rebuilds when the two differ. PmemPool does this for its
+  // allocation summary, so a pool whose image was swapped underneath it
+  // never hands out a block the new image has in use. Replacements are
+  // caller-serialized with the cache's users, so reading the generation
+  // under the cache's own lock is enough.
+  uint64_t image_generation() const {
+    return image_generation_.load(std::memory_order_acquire);
+  }
 
   void AddObserver(DurabilityObserver* observer);
   void RemoveObserver(DurabilityObserver* observer);
@@ -252,7 +267,7 @@ class PmemDevice {
   void NotifyAndMakeDurable(PmOffset offset, size_t size);
 
   // Resets the staged-line bitmap and its scan watermarks. Caller must have
-  // quiesced flushers (Crash/RestoreDurable hold every stripe).
+  // quiesced flushers (Crash/RestoreDurable/LoadFromFile hold every stripe).
   void ClearPending();
 
   std::vector<uint8_t> live_;
@@ -271,6 +286,7 @@ class PmemDevice {
   std::atomic<uint64_t> pending_hi_{0};
   std::vector<DurabilityObserver*> observers_;
   PmemDeviceStats stats_;
+  std::atomic<uint64_t> image_generation_{0};
 };
 
 }  // namespace arthas

@@ -25,8 +25,23 @@ namespace arthas {
 //
 // The buddy tree is a per-node state array (free / split / used). Node
 // indices are heap-shaped: node 1 is the whole heap, children 2i / 2i+1.
-// Allocation descends leftmost-first, which also gives the deterministic
-// address reuse after free that the f1/f10 reproductions rely on.
+// Allocation takes the leftmost free block of the requested order, which
+// also gives the deterministic address reuse after free that the f1/f10
+// reproductions rely on.
+//
+// That search is answered from a volatile free-order summary, one byte per
+// node: the largest block order still allocatable in the node's subtree (a
+// free node's own order, 0 for a used node, the larger of the children's
+// for a split node). Allocation walks a single root-to-leaf path — left
+// whenever the left child can serve the order — splitting free nodes on the
+// way, and alloc and free refresh the summary back up their path, so both
+// cost O(tree depth) where a depth-first search costs O(live blocks). The
+// path, the split nodes and the persisted bytes are exactly those of the
+// leftmost-first depth-first search. The summary is never persisted: Format
+// and Recover build it from the tree, TxAbort rebuilds it after its
+// rollback, and the allocator rebuilds it whenever the device reports a new
+// image generation (a Crash, RestoreDurable or LoadFromFile the pool did
+// not run).
 //
 // Undo-slot layout: slot 0 is the original single-transaction design — its
 // activity flag and log cursor live in the pool header, and its log grows
@@ -78,12 +93,6 @@ struct PmemPool::PoolHeader {
   uint32_t pad;
 };
 
-// Kept only as an opaque tag for the legacy BlockAt helpers (unused by the
-// buddy design); declared to satisfy the header's friend declarations.
-struct PmemPool::BlockHeader {
-  uint64_t unused;
-};
-
 // Persistent descriptor of one extra undo slot, in the table at the top of
 // the undo region. `magic_active` holds kTxSlotActiveMagic while the slot's
 // transaction is in flight, 0 (or stale payload bytes) otherwise.
@@ -113,19 +122,12 @@ const PmemPool::PoolHeader* PmemPool::header() const {
   return reinterpret_cast<const PoolHeader*>(device_->Live(0));
 }
 
-PmemPool::BlockHeader* PmemPool::BlockAt(PmOffset) { return nullptr; }
-const PmemPool::BlockHeader* PmemPool::BlockAt(PmOffset) const {
-  return nullptr;
-}
-
 void PmemPool::PersistHeader() {
   PoolHeader* h = header();
   h->crc = 0;
   h->crc = Crc32c(h, sizeof(PoolHeader));
   device_->PersistQuiet(0, sizeof(PoolHeader));
 }
-
-void PmemPool::PersistBlockHeader(PmOffset) {}
 
 // --- Undo-slot layout helpers -------------------------------------------------
 
@@ -180,6 +182,58 @@ uint64_t PmemPool::NodeOffset(uint64_t node, size_t node_order) const {
   const PoolHeader* h = header();
   const uint64_t index_in_level = node - (1ULL << (h->heap_order - node_order));
   return h->heap_base + index_in_level * (1ULL << node_order);
+}
+
+// --- Free-order summary -------------------------------------------------------
+
+// The summary value `node` should hold, given its state and its children's
+// summaries. A split node at the minimum order (only a corrupt tree has
+// one) and any invalid state offer nothing.
+uint8_t PmemPool::LocalFreeOrder(uint64_t node, size_t node_order) const {
+  const uint8_t state = TreeState()[node];
+  if (state == kNodeFree) {
+    return static_cast<uint8_t>(node_order);
+  }
+  if (state == kNodeSplit && node_order > kMinOrder) {
+    return std::max(free_order_[2 * node], free_order_[2 * node + 1]);
+  }
+  return 0;
+}
+
+void PmemPool::RebuildFreeOrder(uint64_t node, size_t node_order) {
+  if (TreeState()[node] == kNodeSplit && node_order > kMinOrder) {
+    RebuildFreeOrder(2 * node, node_order - 1);
+    RebuildFreeOrder(2 * node + 1, node_order - 1);
+  }
+  free_order_[node] = LocalFreeOrder(node, node_order);
+}
+
+// Visits only the nodes reachable through split nodes, so its cost is
+// proportional to the blocks in the tree, not to the tree's capacity.
+void PmemPool::RebuildSummaryLocked() {
+  const PoolHeader* h = header();
+  free_order_.resize(h->tree_nodes);
+  RebuildFreeOrder(1, h->heap_order);
+  summary_generation_ = device_->image_generation();
+}
+
+void PmemPool::SyncSummaryLocked() {
+  if (summary_generation_ != device_->image_generation()) {
+    RebuildSummaryLocked();
+  }
+}
+
+// Recomputes the summaries above `node` after its own changed. Stops at the
+// first ancestor whose value comes out unchanged: everything above it was
+// computed from that same value.
+void PmemPool::RefreshAncestors(uint64_t node) {
+  for (; node > 1; node /= 2) {
+    const uint8_t best = std::max(free_order_[node], free_order_[node ^ 1]);
+    if (free_order_[node / 2] == best) {
+      return;
+    }
+    free_order_[node / 2] = best;
+  }
 }
 
 Result<std::unique_ptr<PmemPool>> PmemPool::Create(std::string layout,
@@ -254,6 +308,7 @@ Status PmemPool::Format(size_t size) {
   std::memset(device_->Live(tree_off), kNodeFree, tree_nodes);
   device_->PersistQuiet(tree_off, tree_nodes);
   PersistHeader();
+  RebuildSummaryLocked();  // no other thread can see the pool yet
   return OkStatus();
 }
 
@@ -316,6 +371,7 @@ Status PmemPool::Recover() {
     busy = false;
   }
   default_tx_ = TxContext{};
+  RebuildSummaryLocked();
   return OkStatus();
 }
 
@@ -324,31 +380,31 @@ Status PmemPool::CrashAndRecover() {
   return Recover();
 }
 
-// Descends leftmost-first looking for a free node of `target` order.
-// Returns the node index or 0.
-uint64_t PmemPool::FindFreeNode(uint64_t node, size_t node_order,
-                                size_t target) {
-  uint8_t* state = TreeState();
-  if (state[node] == kNodeUsed) {
+// Finds the leftmost free node of `target` order, splitting the free nodes
+// on the way down to it. Returns the node index or 0. Requires a current
+// summary.
+uint64_t PmemPool::FindFreeNode(size_t target) {
+  if (free_order_[1] < target) {
     return 0;
   }
-  if (node_order == target) {
-    return state[node] == kNodeFree ? node : 0;
+  uint8_t* state = TreeState();
+  uint64_t node = 1;
+  for (size_t order = header()->heap_order; order > target; order--) {
+    if (state[node] == kNodeFree) {
+      // Split lazily: children become free halves.
+      state[node] = kNodeSplit;
+      state[2 * node] = kNodeFree;
+      state[2 * node + 1] = kNodeFree;
+      PersistNode(node);
+      PersistNode(2 * node);
+      PersistNode(2 * node + 1);
+      free_order_[2 * node] = static_cast<uint8_t>(order - 1);
+      free_order_[2 * node + 1] = static_cast<uint8_t>(order - 1);
+    }
+    node = free_order_[2 * node] >= target ? 2 * node : 2 * node + 1;
   }
-  if (state[node] == kNodeFree) {
-    // Split lazily: children become free halves.
-    state[node] = kNodeSplit;
-    state[2 * node] = kNodeFree;
-    state[2 * node + 1] = kNodeFree;
-    PersistNode(node);
-    PersistNode(2 * node);
-    PersistNode(2 * node + 1);
-  }
-  const uint64_t left = FindFreeNode(2 * node, node_order - 1, target);
-  if (left != 0) {
-    return left;
-  }
-  return FindFreeNode(2 * node + 1, node_order - 1, target);
+  assert(state[node] == kNodeFree);
+  return node;
 }
 
 // Requires the pool mutex.
@@ -362,14 +418,16 @@ Result<Oid> PmemPool::AllocInternal(size_t size, bool zero) {
   if (order < 0) {
     return Status(StatusCode::kOutOfSpace, "allocation exceeds heap size");
   }
-  const uint64_t node =
-      FindFreeNode(1, h->heap_order, static_cast<size_t>(order));
+  SyncSummaryLocked();
+  const uint64_t node = FindFreeNode(static_cast<size_t>(order));
   if (node == 0) {
     return Status(StatusCode::kOutOfSpace, "persistent pool exhausted");
   }
   uint8_t* state = TreeState();
   state[node] = kNodeUsed;
   PersistNode(node);
+  free_order_[node] = 0;
+  RefreshAncestors(node);
   const uint64_t block = 1ULL << order;
   h->used_bytes += block;
   h->live_objects++;
@@ -437,12 +495,14 @@ Status PmemPool::FreeLocked(Oid oid) {
   if (node == 0) {
     return FailedPrecondition("free of a non-allocated address");
   }
+  SyncSummaryLocked();
   PoolHeader* h = header();
   uint8_t* state = TreeState();
   state[node] = kNodeFree;
   PersistNode(node);
   // Merge with the buddy while possible.
   uint64_t cur = node;
+  size_t cur_order = order;
   while (cur > 1) {
     const uint64_t buddy = cur ^ 1ULL;
     if (state[buddy] != kNodeFree) {
@@ -452,7 +512,10 @@ Status PmemPool::FreeLocked(Oid oid) {
     state[parent] = kNodeFree;
     PersistNode(parent);
     cur = parent;
+    cur_order++;
   }
+  free_order_[cur] = static_cast<uint8_t>(cur_order);
+  RefreshAncestors(cur);
   const uint64_t block = 1ULL << order;
   h->used_bytes -= block;
   h->live_objects--;
@@ -734,6 +797,8 @@ Status PmemPool::TxAbort(TxContext& ctx) {
   std::lock_guard<std::mutex> lock(mutex_);
   PoolHeader* h = header();
   RollbackUndoLog(ctx.undo_base, ctx.log_count);
+  // The logged ranges are the caller's choice and may include tree state.
+  RebuildSummaryLocked();
   if (ctx.slot == 0) {
     h->tx_active = 0;
     h->tx_log_count = 0;
@@ -784,8 +849,11 @@ Status PmemPool::CheckIntegrity() const {
   if (Crc32c(&copy, sizeof(copy)) != stored) {
     return Corruption("pool header checksum mismatch");
   }
-  // Validate the buddy state array and the usage accounting.
+  // Validate the buddy state array and the usage accounting, and the
+  // summary unless an image swap has already scheduled its rebuild.
   const uint8_t* state = TreeState();
+  const bool summary_current =
+      summary_generation_ == device_->image_generation();
   uint64_t used = 0;
   uint64_t live = 0;
   // Iterative DFS over split nodes.
@@ -795,6 +863,9 @@ Status PmemPool::CheckIntegrity() const {
     stack.pop_back();
     if (state[node] > kNodeUsed) {
       return Corruption("invalid buddy node state");
+    }
+    if (summary_current && free_order_[node] != LocalFreeOrder(node, order)) {
+      return Corruption("buddy free-order summary out of date");
     }
     if (state[node] == kNodeSplit) {
       if (order == kMinOrder) {
@@ -839,8 +910,6 @@ size_t PmemPool::FreeBytes() const {
   const uint64_t heap = 1ULL << h->heap_order;
   return h->used_bytes >= heap ? 0 : heap - h->used_bytes;
 }
-
-void PmemPool::CoalesceFreeBlocks() {}  // buddy merging happens on free
 
 void PmemPool::AddObserver(PoolObserver* observer) {
   observers_.push_back(observer);

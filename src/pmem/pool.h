@@ -9,10 +9,11 @@
 //   * explicit persistence of object ranges (pmemobj_persist),
 //   * undo-log transactions (see pmem/tx.h).
 //
-// Allocator metadata (block headers, free list, pool header) is itself kept
-// in PM and persisted with *internal* (non-observed) persists so that the
-// Arthas checkpoint log records application PM updates, not heap bookkeeping
-// — matching the paper's modified PMDK, which intercepts object updates.
+// Allocator metadata (pool header, undo log, buddy state tree) is itself kept
+// in PM, in a region below the object heap, and persisted with *internal*
+// (non-observed) persists so that the Arthas checkpoint log records
+// application PM updates, not heap bookkeeping — matching the paper's
+// modified PMDK, which intercepts object updates.
 //
 // PoolObserver is the second half of the Arthas hook surface (the first is
 // DurabilityObserver on the device): allocation, free, and realloc events
@@ -22,8 +23,9 @@
 // Concurrency model (see DESIGN.md "Concurrency model"):
 //   * All allocator operations (Alloc/Zalloc/Free/Realloc/Root/UsableSize/
 //     ForEachBlock/CheckIntegrity) and all transaction operations are
-//     serialized on one pool mutex; the buddy tree, the pool header, and
-//     the undo slot table are only touched under it.
+//     serialized on one pool mutex; the buddy tree, its volatile free-order
+//     summary, the pool header, and the undo slot table are only touched
+//     under it.
 //   * Transactions are per-thread: each thread opens its own TxContext.
 //     Concurrent transactions must cover disjoint PM ranges (the usual
 //     libpmemobj contract); the undo region is partitioned into per-slot
@@ -213,15 +215,18 @@ class PmemPool {
       const std::function<void(PmOffset offset, size_t size, bool used)>& fn)
       const;
 
-  // Verifies pool metadata integrity (header checksum, block headers, free
-  // list). The pmempool-check analogue used by the consistency evaluation.
+  // Verifies pool metadata integrity (header checksum, buddy node states,
+  // usage accounting, and that the volatile free-order summary agrees with
+  // the tree). The pmempool-check analogue used by the consistency
+  // evaluation.
   Status CheckIntegrity() const;
 
-  // Byte ranges within [offset, offset+size) that are allocator metadata
-  // (block headers) under the *current* heap layout. External reversion
-  // tooling restores payload bytes around these so it never corrupts the
-  // heap structure (PMDK keeps its metadata out-of-band; our boundary tags
-  // are inline, so the checkpoint restore must skip them).
+  // Byte ranges within [offset, offset+size) that are allocator metadata.
+  // All of it (pool header, undo log, buddy state tree) sits below the
+  // object heap, as PMDK keeps its metadata out-of-band, so this is the
+  // part of the range below the heap base. External reversion tooling
+  // restores payload bytes around these ranges so it never corrupts the
+  // heap structure.
   std::vector<std::pair<PmOffset, size_t>> MetadataRangesIn(PmOffset offset,
                                                             size_t size) const;
 
@@ -243,15 +248,10 @@ class PmemPool {
   Status Format(size_t size);
   Status Recover();
   struct PoolHeader;
-  struct BlockHeader;
   struct TxSlotDescriptor;
   PoolHeader* header();
   const PoolHeader* header() const;
-  BlockHeader* BlockAt(PmOffset offset);
-  const BlockHeader* BlockAt(PmOffset offset) const;
   void PersistHeader();
-  void PersistBlockHeader(PmOffset offset);
-  void CoalesceFreeBlocks();
   Result<Oid> AllocInternal(size_t size, bool zero);
   Status FreeLocked(Oid oid);
   Result<size_t> UsableSizeLocked(Oid oid) const;
@@ -273,10 +273,17 @@ class PmemPool {
   const uint8_t* TreeState() const;
   void PersistNode(uint64_t node);
   uint64_t NodeOffset(uint64_t node, size_t node_order) const;
-  uint64_t FindFreeNode(uint64_t node, size_t node_order, size_t target);
+  uint64_t FindFreeNode(size_t target);
   std::pair<uint64_t, size_t> FindUsedNode(PmOffset offset) const;
   void WalkTree(uint64_t node, size_t node_order,
                 const std::function<void(PmOffset, size_t, bool)>& fn) const;
+
+  // Free-order summary maintenance (all require the pool mutex).
+  uint8_t LocalFreeOrder(uint64_t node, size_t node_order) const;
+  void RebuildFreeOrder(uint64_t node, size_t node_order);
+  void RebuildSummaryLocked();
+  void SyncSummaryLocked();
+  void RefreshAncestors(uint64_t node);
 
   std::unique_ptr<PmemDevice> device_;
   std::string layout_;
@@ -289,6 +296,12 @@ class PmemPool {
   // for slot 0, TxSlotDescriptors for the rest).
   bool slot_busy_[kMaxConcurrentTx] = {};
   TxContext default_tx_;  // backs the context-free single-threaded API
+  // Volatile summary of the buddy tree: for every node reachable from the
+  // root through split nodes, the largest block order still allocatable in
+  // its subtree (0: none). Nodes below a free or used node are unreachable
+  // and hold stale values. Valid for device image `summary_generation_`.
+  std::vector<uint8_t> free_order_;
+  uint64_t summary_generation_ = 0;
 };
 
 }  // namespace arthas

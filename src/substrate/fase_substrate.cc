@@ -223,10 +223,11 @@ void FaseSubstrate::ResetLogLocked() {
 
 void FaseSubstrate::RestoreAroundMetadata(PmOffset target_off,
                                           const uint8_t* data, size_t size) {
-  // Undo ranges arrive cache-line rounded from Drain, so they can straddle
-  // allocator boundary tags; restoring those would corrupt the heap the
-  // pool just recovered. Skip the metadata islands, restore the payload
-  // around them (the checkpoint log's restore uses the same discipline).
+  // Undo ranges arrive cache-line rounded from Drain, so they can reach
+  // into the allocator metadata below the heap; restoring that would
+  // corrupt the heap the pool just recovered. Skip the metadata, restore
+  // the payload around it (the checkpoint log's restore uses the same
+  // discipline).
   size_t cursor = 0;
   for (const auto& [moff, msize] : pool_->MetadataRangesIn(target_off, size)) {
     const size_t rel = moff - target_off;
@@ -305,7 +306,8 @@ Status FaseSubstrate::Recover() {
                           log_device_->Live(it->payload_off),
                           it->header.payload_size);
   }
-  for (uint64_t id : incomplete) {
+  // `id` only feeds the flight record, which an obs-disabled build drops.
+  for ([[maybe_unused]] uint64_t id : incomplete) {
     sections_rolled_back_.fetch_add(1, std::memory_order_relaxed);
     ARTHAS_FLIGHT_RECORD(obs::FrType::kSectionAbort, device_->device_id(),
                          /*addr=*/0, /*size=*/0, /*arg=*/id,

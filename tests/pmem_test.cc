@@ -2,11 +2,16 @@
 
 #include <cstring>
 #include <numeric>
+#include <random>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/flight_recorder.h"
 #include "pmem/device.h"
 #include "pmem/libpmem.h"
 #include "pmem/pool.h"
@@ -121,6 +126,59 @@ TEST(PmemDeviceTest, SnapshotAndRestore) {
   dev.Persist(0, 2);
   ASSERT_TRUE(dev.RestoreDurable(snap).ok());
   EXPECT_EQ(std::memcmp(dev.Live(0), "v1", 2), 0);
+}
+
+TEST(PmemDeviceTest, LoadFromFileDropsStagedLines) {
+  // A line flushed before a wholesale load must not drain afterwards: that
+  // would report a persist of loaded bytes the program never wrote (and the
+  // checkpoint log would record it as a version). RestoreDurable already
+  // behaved this way.
+  const std::string path = ::testing::TempDir() + "pmem_test_staged.img";
+  PmemDevice dev(4096);
+  ASSERT_TRUE(dev.SaveToFile(path).ok());
+  RecordingObserver observer;
+  dev.AddObserver(&observer);
+  std::memcpy(dev.Live(0), "x", 1);
+  dev.FlushLines(0, 1);
+  ASSERT_TRUE(dev.LoadFromFile(path).ok());
+  EXPECT_EQ(dev.PendingLineCount(), 0u);
+  dev.Drain();
+  EXPECT_TRUE(observer.events.empty());
+  EXPECT_EQ(dev.Live(0)[0], 0);
+#ifndef ARTHAS_OBS_DISABLED
+  bool saw_restore = false;
+  for (const obs::FlightRecord& r : obs::FlightRecorder::Global().Snapshot()) {
+    saw_restore |= r.device_id == dev.device_id() &&
+                   r.type == obs::FrType::kRestore;
+  }
+  EXPECT_TRUE(saw_restore);
+#endif
+}
+
+TEST(PmemDeviceTest, WholesaleImageReplacementsBumpTheGeneration) {
+  const std::string path = ::testing::TempDir() + "pmem_test_gen.img";
+  PmemDevice dev(4096);
+  ASSERT_TRUE(dev.SaveToFile(path).ok());
+  uint64_t gen = dev.image_generation();
+  // Range-level durability and restores leave it alone...
+  std::memcpy(dev.Live(0), "ab", 2);
+  dev.Persist(0, 2);
+  dev.PersistQuiet(0, 2);
+  dev.FlushLines(64, 1);
+  dev.Drain();
+  dev.RawRestore(128, "cd", 2);
+  EXPECT_EQ(dev.image_generation(), gen);
+  EXPECT_FALSE(dev.LoadFromFile("/nonexistent/x").ok());
+  EXPECT_EQ(dev.image_generation(), gen);
+  // ...while every wholesale replacement moves it.
+  dev.Crash();
+  EXPECT_GT(dev.image_generation(), gen);
+  gen = dev.image_generation();
+  ASSERT_TRUE(dev.RestoreDurable(dev.SnapshotDurable()).ok());
+  EXPECT_GT(dev.image_generation(), gen);
+  gen = dev.image_generation();
+  ASSERT_TRUE(dev.LoadFromFile(path).ok());
+  EXPECT_GT(dev.image_generation(), gen);
 }
 
 TEST(PmemDeviceTest, OffsetOfRejectsForeignPointers) {
@@ -365,6 +423,41 @@ TEST(PmemTxTest, SlotExhaustionReturnsBusyWithoutLatchingAnything) {
   }
 }
 
+TEST(PmemTxTest, AbortThatRestoresBuddyStateKeepsAllocationsApart) {
+  // A transaction may undo-log any range, allocator metadata included.
+  // Rolling such a range back rewrites buddy-tree state underneath the
+  // allocator's volatile summary; the next allocation must follow the
+  // restored tree, not the summary of the aborted free.
+  auto pool = *PmemPool::Create("test", 256 * 1024);
+  const Oid a = *pool->Alloc(64);
+  const Oid b = *pool->Alloc(64);
+  // Find the tree bytes that freeing `a` rewrites: metadata below the heap,
+  // past the page holding the pool header (whose counters also change).
+  const PmOffset heap_base = a.off;
+  const std::vector<uint8_t> before(pool->device().Live(0),
+                                    pool->device().Live(heap_base));
+  ASSERT_TRUE(pool->Free(a).ok());
+  PmOffset lo = heap_base;
+  PmOffset hi = 0;
+  for (PmOffset off = 4096; off < heap_base; off++) {
+    if (*pool->device().Live(off) != before[off]) {
+      lo = std::min(lo, off);
+      hi = std::max(hi, off);
+    }
+  }
+  ASSERT_LE(lo, hi);
+  ASSERT_EQ(pool->Alloc(64)->off, a.off);
+
+  ASSERT_TRUE(pool->TxBegin().ok());
+  ASSERT_TRUE(pool->TxAddRange(lo, hi - lo + 1).ok());
+  ASSERT_TRUE(pool->Free(a).ok());
+  ASSERT_TRUE(pool->TxAbort().ok());  // the tree holds `a` again
+  auto next = pool->Alloc(64);
+  ASSERT_TRUE(next.ok());
+  EXPECT_NE(next->off, a.off);
+  EXPECT_EQ(next->off, b.off + 64);
+}
+
 class PoolEventRecorder : public PoolObserver {
  public:
   void OnAlloc(PmOffset offset, size_t size) override {
@@ -439,6 +532,320 @@ TEST_P(PoolFuzzTest, RandomOpsPreserveIntegrity) {
 INSTANTIATE_TEST_SUITE_P(PoolSizes, PoolFuzzTest,
                          ::testing::Values(128 * 1024, 256 * 1024, 512 * 1024,
                                            1024 * 1024));
+
+// --- Allocator equivalence -----------------------------------------------------
+
+// The leftmost-first depth-first search the pool's free-order summary
+// replaced, kept as an executable reference model: its own state array, the
+// same lazy splits on the way down, the same buddy merges on free. The pool
+// must pick exactly its blocks.
+class ReferenceBuddy {
+ public:
+  ReferenceBuddy(PmOffset heap_base, size_t heap_order)
+      : heap_base_(heap_base),
+        heap_order_(heap_order),
+        state_(2ULL << (heap_order - kMinOrder), kFree) {}
+
+  // Returns the new block's offset, or kNullPmOffset when out of space.
+  PmOffset Alloc(size_t size) {
+    size_t order = kMinOrder;
+    while ((1ULL << order) < size) {
+      order++;
+    }
+    if (order > heap_order_) {
+      return kNullPmOffset;
+    }
+    const uint64_t node = Find(1, heap_order_, order);
+    if (node == 0) {
+      return kNullPmOffset;
+    }
+    state_[node] = kUsed;
+    return Offset(node, order);
+  }
+
+  void Free(PmOffset offset) {
+    uint64_t node = FindUsed(offset).first;
+    ASSERT_NE(node, 0u);
+    state_[node] = kFree;
+    while (node > 1 && state_[node ^ 1] == kFree) {
+      node /= 2;
+      state_[node] = kFree;
+    }
+  }
+
+  // PmemPool::Realloc's rule: grow into a new block, or stay in place.
+  PmOffset Realloc(PmOffset offset, size_t new_size) {
+    if (new_size <= (1ULL << FindUsed(offset).second)) {
+      return offset;
+    }
+    const PmOffset grown = Alloc(new_size);
+    if (grown != kNullPmOffset) {
+      Free(offset);
+    }
+    return grown;
+  }
+
+  // (offset, size, used) of every block, in address order.
+  std::vector<std::tuple<PmOffset, size_t, bool>> Blocks() const {
+    std::vector<std::tuple<PmOffset, size_t, bool>> blocks;
+    Walk(1, heap_order_, blocks);
+    return blocks;
+  }
+
+ private:
+  static constexpr size_t kMinOrder = 5;
+  static constexpr uint8_t kFree = 0;
+  static constexpr uint8_t kSplit = 1;
+  static constexpr uint8_t kUsed = 2;
+
+  uint64_t Find(uint64_t node, size_t order, size_t target) {
+    if (state_[node] == kUsed) {
+      return 0;
+    }
+    if (order == target) {
+      return state_[node] == kFree ? node : 0;
+    }
+    if (state_[node] == kFree) {
+      state_[node] = kSplit;
+      state_[2 * node] = kFree;
+      state_[2 * node + 1] = kFree;
+    }
+    const uint64_t left = Find(2 * node, order - 1, target);
+    return left != 0 ? left : Find(2 * node + 1, order - 1, target);
+  }
+
+  std::pair<uint64_t, size_t> FindUsed(PmOffset offset) const {
+    uint64_t node = 1;
+    size_t order = heap_order_;
+    while (state_[node] == kSplit) {
+      order--;
+      node = offset < Offset(2 * node + 1, order) ? 2 * node : 2 * node + 1;
+    }
+    if (state_[node] != kUsed || Offset(node, order) != offset) {
+      return {0, 0};
+    }
+    return {node, order};
+  }
+
+  PmOffset Offset(uint64_t node, size_t order) const {
+    return heap_base_ + (node - (1ULL << (heap_order_ - order))) *
+                            (1ULL << order);
+  }
+
+  void Walk(uint64_t node, size_t order,
+            std::vector<std::tuple<PmOffset, size_t, bool>>& out) const {
+    if (state_[node] == kSplit) {
+      Walk(2 * node, order - 1, out);
+      Walk(2 * node + 1, order - 1, out);
+      return;
+    }
+    out.emplace_back(Offset(node, order), 1ULL << order, state_[node] == kUsed);
+  }
+
+  PmOffset heap_base_;
+  size_t heap_order_;
+  std::vector<uint8_t> state_;
+};
+
+std::vector<std::tuple<PmOffset, size_t, bool>> PoolBlocks(
+    const PmemPool& pool) {
+  std::vector<std::tuple<PmOffset, size_t, bool>> blocks;
+  pool.ForEachBlock([&blocks](PmOffset off, size_t size, bool used) {
+    blocks.emplace_back(off, size, used);
+  });
+  return blocks;
+}
+
+// A fresh pool's heap is one free block: its offset and order seed the model.
+ReferenceBuddy ModelOf(const PmemPool& fresh) {
+  const auto blocks = PoolBlocks(fresh);
+  EXPECT_EQ(blocks.size(), 1u);
+  size_t order = 0;
+  while ((1ULL << order) < std::get<1>(blocks[0])) {
+    order++;
+  }
+  return ReferenceBuddy(std::get<0>(blocks[0]), order);
+}
+
+PmOffset OffsetOrNull(const Result<Oid>& oid) {
+  if (!oid.ok()) {
+    EXPECT_EQ(oid.status().code(), StatusCode::kOutOfSpace);
+    return kNullPmOffset;
+  }
+  return oid->off;
+}
+
+// Randomized alloc/zalloc/free/realloc of mixed size classes, runs to
+// exhaustion, allocations inside aborted transactions, and crashes: the pool
+// and the reference pick the same block (or both run out) at every step.
+class BuddyEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
+
+TEST_P(BuddyEquivalenceTest, PicksTheLeftmostFirstReferenceBlock) {
+  const auto [pool_size, seed] = GetParam();
+  auto pool = *PmemPool::Create("equiv", pool_size);
+  ReferenceBuddy model = ModelOf(*pool);
+  std::mt19937_64 rng(seed);
+  // Log-uniform sizes from 1 B to 1/16 of the heap, so small classes
+  // dominate but large ones keep fragmenting it.
+  const size_t max_shift = 64 - __builtin_clzll(pool->Capacity() / 16);
+  auto random_size = [&rng, max_shift] {
+    const size_t shift = rng() % max_shift;
+    return 1 + static_cast<size_t>(rng() % (2ULL << shift));
+  };
+  std::vector<PmOffset> live;
+  int out_of_space = 0;
+  auto alloc = [&](size_t size, bool zero) {
+    const PmOffset got =
+        OffsetOrNull(zero ? pool->Zalloc(size) : pool->Alloc(size));
+    const PmOffset want = model.Alloc(size);
+    EXPECT_EQ(got, want) << "size " << size;
+    if (got == kNullPmOffset) {
+      out_of_space++;
+    } else {
+      live.push_back(got);
+    }
+    return got == want && got != kNullPmOffset;
+  };
+
+  for (int step = 0; step < 4000; step++) {
+    const uint64_t pick = rng() % 100;
+    if (pick < 40) {
+      alloc(random_size(), pick % 2 == 0);
+    } else if (pick < 70 && !live.empty()) {
+      const size_t idx = rng() % live.size();
+      ASSERT_TRUE(pool->Free(Oid{live[idx]}).ok());
+      model.Free(live[idx]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else if (pick < 85 && !live.empty()) {
+      const size_t idx = rng() % live.size();
+      const size_t size = random_size();
+      const PmOffset got = OffsetOrNull(pool->Realloc(Oid{live[idx]}, size));
+      ASSERT_EQ(got, model.Realloc(live[idx], size)) << "size " << size;
+      if (got != kNullPmOffset) {
+        live[idx] = got;
+      }
+    } else if (pick < 92) {
+      // Allocation inside an aborted transaction: the abort rolls back the
+      // logged payload, not the allocation, and rebuilds the summary.
+      ASSERT_TRUE(pool->TxBegin().ok());
+      if (!live.empty()) {
+        const Oid victim{live[rng() % live.size()]};
+        ASSERT_TRUE(pool->TxAddRange(victim, 0, 8).ok());
+        std::memset(pool->Direct(victim), 0xab, 8);
+      }
+      alloc(random_size(), false);
+      ASSERT_TRUE(pool->TxAbort().ok());
+    } else if (pick < 97) {
+      // Run one size class to exhaustion.
+      const size_t size = random_size();
+      while (alloc(size, false)) {
+      }
+    } else {
+      ASSERT_TRUE(pool->CrashAndRecover().ok());
+    }
+    ASSERT_FALSE(HasFailure()) << "step " << step;
+    ASSERT_TRUE(pool->CheckIntegrity().ok()) << "step " << step;
+    if (step % 64 == 0) {
+      ASSERT_EQ(PoolBlocks(*pool), model.Blocks()) << "step " << step;
+    }
+  }
+  EXPECT_EQ(PoolBlocks(*pool), model.Blocks());
+  EXPECT_GT(out_of_space, 0);  // the sequence reached exhaustion
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoolSizesAndSeeds, BuddyEquivalenceTest,
+    ::testing::Combine(::testing::Values(128 * 1024, 256 * 1024),
+                       ::testing::Values(1u, 2u, 3u)));
+
+// --- Image swaps under a live pool ---------------------------------------------
+
+// Fills a pool's heap half with 64-byte blocks, then frees every seventh
+// from block 100 on: the leftmost hole is far from where a fresh pool's
+// first blocks go.
+void FillWithHoles(PmemPool& pool) {
+  std::vector<Oid> oids;
+  for (size_t i = 0; i < pool.Capacity() / 2 / 64; i++) {
+    oids.push_back(*pool.Alloc(64));
+  }
+  for (size_t i = 100; i < oids.size(); i += 7) {
+    ASSERT_TRUE(pool.Free(oids[i]).ok());
+  }
+}
+
+// The leftmost free block that can hold `size` bytes, which is where a
+// leftmost-first allocator must carve the next block of that size.
+PmOffset LeftmostFreeFor(const PmemPool& pool, size_t size) {
+  for (const auto& [off, block, used] : PoolBlocks(pool)) {
+    if (!used && block >= size) {
+      return off;
+    }
+  }
+  return kNullPmOffset;
+}
+
+// `pool` had its own allocations (and a summary describing them) when its
+// device was handed `donor`'s image: the next allocation must come from that
+// image's free space, exactly where `donor` itself puts it.
+void ExpectAllocFromSwappedImage(PmemPool& pool, PmemPool& donor,
+                                 size_t size) {
+  std::set<PmOffset> in_use;
+  for (const auto& [off, block, used] : PoolBlocks(pool)) {
+    if (used) {
+      in_use.insert(off);
+    }
+  }
+  const PmOffset expected = LeftmostFreeFor(pool, size);
+  ASSERT_NE(expected, kNullPmOffset);
+  auto oid = pool.Alloc(size);
+  ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+  EXPECT_EQ(oid->off, expected);
+  EXPECT_EQ(in_use.count(oid->off), 0u);
+  auto donor_oid = donor.Alloc(size);
+  ASSERT_TRUE(donor_oid.ok());
+  EXPECT_EQ(oid->off, donor_oid->off);
+  EXPECT_TRUE(pool.CheckIntegrity().ok());
+}
+
+TEST(PmemPoolTest, AllocAfterLoadFromFileUsesTheLoadedImage) {
+  const std::string path = ::testing::TempDir() + "pmem_test_swap.img";
+  auto donor = *PmemPool::Create("swap", 256 * 1024);
+  FillWithHoles(*donor);
+  ASSERT_TRUE(donor->device().SaveToFile(path).ok());
+
+  auto pool = *PmemPool::Create("swap", 256 * 1024);
+  (void)*pool->Alloc(64);
+  ASSERT_TRUE(pool->device().LoadFromFile(path).ok());
+  ExpectAllocFromSwappedImage(*pool, *donor, 64);
+}
+
+TEST(PmemPoolTest, AllocAfterRestoreDurableUsesTheRestoredImage) {
+  auto donor = *PmemPool::Create("swap", 256 * 1024);
+  FillWithHoles(*donor);
+
+  auto pool = *PmemPool::Create("swap", 256 * 1024);
+  (void)*pool->Alloc(64);
+  ASSERT_TRUE(pool->device().RestoreDurable(donor->device().SnapshotDurable())
+                  .ok());
+  ExpectAllocFromSwappedImage(*pool, *donor, 64);
+}
+
+TEST(PmemPoolTest, FreeAfterRestoreDurableWorksOnTheRestoredImage) {
+  // The other direction: the restored image is the emptier one, and the
+  // first call after the swap is a Free.
+  auto donor = *PmemPool::Create("swap", 256 * 1024);
+  const Oid first = *donor->Alloc(64);
+  (void)*donor->Alloc(64);
+  const std::vector<uint8_t> image = donor->device().SnapshotDurable();
+  ASSERT_TRUE(donor->Free(first).ok());
+
+  auto pool = *PmemPool::Create("swap", 256 * 1024);
+  FillWithHoles(*pool);
+  ASSERT_TRUE(pool->device().RestoreDurable(image).ok());
+  ASSERT_TRUE(pool->Free(first).ok());
+  ExpectAllocFromSwappedImage(*pool, *donor, 4096);
+}
 
 }  // namespace
 }  // namespace arthas

@@ -25,7 +25,9 @@ namespace {
 // A private profiler per test keeps the global one (shared with any other
 // instrumented code in the test binary) out of the assertions.
 void Spin() {
-  for (volatile int i = 0; i < 64; i++) {
+  volatile int sink = 0;
+  for (int i = 0; i < 64; i++) {
+    sink = sink + i;
   }
 }
 
