@@ -136,7 +136,8 @@ constexpr std::chrono::microseconds kClientThinkTime{50};
 // One sweep measurement: aggregate throughput, wall cycles per operation
 // (rdtsc over the whole run divided by total ops — the lock-contention
 // budget each op really pays), and how many trace events the run recorded
-// (counted via Tracer::EventCount, not an Events() archive copy).
+// (Tracer::stats().records, which counts every Record() call; EventCount()
+// counts distinct pairs).
 struct MtMeasurement {
   double ops_per_sec = 0;
   double cycles_per_op = 0;
@@ -182,7 +183,7 @@ MtMeasurement MeasureThroughputMt(const SystemFactory& factory, Mode mode,
                         ? static_cast<double>(cycles) /
                               static_cast<double>(run.total_ops)
                         : 0;
-  m.trace_events = system->tracer().EventCount();
+  m.trace_events = system->tracer().stats().records.load();
   return m;
 }
 

@@ -14,11 +14,15 @@ version 1 (see bench/bench_soak.cc and DESIGN.md section 4k):
     flat / bounded / linear-growth; linear-growth implies a positive
     fitted slope; a finite time_to_budget_sec implies linear-growth with
     a declared budget above the last value;
-  * the honesty gates the capacity plane exists for: the checkpoint
-    arena bytes and retained-version series classify as linear-growth
-    (nothing trims the checkpoint log yet) with a finite time-to-budget
-    where a budget is declared, while the net plane's transient outbuf
-    series classifies flat or bounded;
+  * the honesty gates the capacity plane exists for, chosen by the
+    artifact's own config.fresh_permille. With fresh keys (above 0), the
+    checkpoint arena bytes and retained-version series classify as
+    linear-growth (every new key adds an entry and its versions) with a
+    finite time-to-budget where a budget is declared. Over a fixed
+    keyspace (0), every resource.checkpoint.* series classifies flat or
+    bounded: versions past max_versions, their payload spans and their
+    seq-index pairs are all given back. Either way the net plane's
+    transient outbuf series classifies flat or bounded;
   * the SLO report carries every configured window for every target;
   * CAPACITY resolved over the wire (capacity_over_wire.ok, with cell
     and verdict counts > 0);
@@ -45,15 +49,18 @@ NUMBER = (int, float)
 
 CLASSES = ("insufficient-data", "flat", "bounded", "linear-growth")
 
-# Series the committed artifact must classify, and how. The arena and
-# version series are the before-picture for a future GC PR; the outbuf
-# series is the claim that growth lives in the checkpoint plane, not the
-# serving plane.
+# Series a run with fresh keys must classify, and how. The arena and
+# version series grow with the keyspace until checkpoint GC retires
+# entries of dead keys; the outbuf series is the claim that growth lives in
+# the checkpoint plane, not the serving plane.
 MUST_GROW = (
     "resource.checkpoint.arena.bytes",
     "resource.checkpoint.retained.versions",
 )
 MUST_NOT_GROW = ("resource.net.outbuf.bytes",)
+# Over a fixed keyspace (fresh_permille 0) every series under this prefix
+# must classify flat or bounded.
+CHECKPOINT_PREFIX = "resource.checkpoint."
 
 
 class SchemaError(Exception):
@@ -130,7 +137,25 @@ def check_verdicts(verdicts, path: str) -> dict:
     return by_series
 
 
-def check_growth_gates(by_series: dict, path: str) -> None:
+def expect_not_growing(by_series: dict, name: str, path: str) -> None:
+    verdict = by_series[name]
+    expect(verdict["class"] in ("flat", "bounded"), f"{path}[{name}]",
+           f"must classify flat or bounded (got '{verdict['class']}', "
+           f"{verdict['slope_per_sec']:+.0f}/s)")
+
+
+def check_growth_gates(by_series: dict, path: str,
+                       fresh_permille: float) -> None:
+    for name in MUST_NOT_GROW:
+        expect(name in by_series, path, f"no verdict for '{name}'")
+        expect_not_growing(by_series, name, path)
+    if fresh_permille == 0:
+        checkpoint = [name for name in by_series
+                      if name.startswith(CHECKPOINT_PREFIX)]
+        expect(checkpoint, path, f"no verdict for '{CHECKPOINT_PREFIX}*'")
+        for name in checkpoint:
+            expect_not_growing(by_series, name, path)
+        return
     for name in MUST_GROW:
         expect(name in by_series, path, f"no verdict for '{name}'")
         verdict = by_series[name]
@@ -140,11 +165,6 @@ def check_growth_gates(by_series: dict, path: str) -> None:
         if verdict["budget"] > 0:
             expect(verdict["time_to_budget_sec"] > 0, f"{path}[{name}]",
                    "declared budget but no finite time-to-budget forecast")
-    for name in MUST_NOT_GROW:
-        expect(name in by_series, path, f"no verdict for '{name}'")
-        verdict = by_series[name]
-        expect(verdict["class"] in ("flat", "bounded"), f"{path}[{name}]",
-               f"must classify flat or bounded (got '{verdict['class']}')")
 
 
 def check_slo(slo, path: str) -> None:
@@ -271,7 +291,7 @@ def main() -> int:
         check_load(doc.get("load"), "load")
         check_resources(doc.get("resources"), "resources")
         by_series = check_verdicts(doc.get("verdicts"), "verdicts")
-        check_growth_gates(by_series, "verdicts")
+        check_growth_gates(by_series, "verdicts", config["fresh_permille"])
         check_slo(doc.get("slo"), "slo")
         fitted = {name for name, verdict in by_series.items()
                   if verdict["class"] != "insufficient-data"}
@@ -283,13 +303,15 @@ def main() -> int:
         print(f"FAIL {path}: {error}")
         return 1
 
-    growers = ", ".join(
-        f"{name} (+{by_series[name]['slope_per_sec']:.0f}/s, "
-        f"budget in {by_series[name]['time_to_budget_sec']:.0f}s)"
-        for name in MUST_GROW)
+    if config["fresh_permille"] == 0:
+        growth = "every checkpoint series flat or bounded over a fixed keyspace"
+    else:
+        growth = "unbounded growth confirmed in " + ", ".join(
+            f"{name} (+{by_series[name]['slope_per_sec']:.0f}/s, "
+            f"budget in {by_series[name]['time_to_budget_sec']:.0f}s)"
+            for name in MUST_GROW)
     print(f"OK {path}: {len(by_series)} verdicts over "
-          f"{config['duration_s']}s; unbounded growth confirmed in "
-          f"{growers}; accountant ratio "
+          f"{config['duration_s']}s; {growth}; accountant ratio "
           f"{doc['accountant_overhead']['on_off_ratio']:.3f}")
     return 0
 

@@ -215,6 +215,31 @@ void CheckpointLog::AddIndexBytes(size_t bytes) {
   ARTHAS_RESOURCE_ADD("checkpoint.index.bytes", "bytes", bytes);
 }
 
+void CheckpointLog::AddSeqIndexCapacityLocked(Shard& shard,
+                                              size_t old_capacity) {
+  if (shard.seq_index.capacity() != old_capacity) {
+    AddIndexBytes((shard.seq_index.capacity() - old_capacity) *
+                  sizeof(std::pair<SeqNum, PmOffset>));
+  }
+}
+
+// Evicting a version costs no index work on the persist path: the pairs of
+// departed versions are dropped here, in one pass over the shard, instead
+// of each being searched for when its version leaves.
+void CheckpointLog::RebuildSeqIndexLocked(Shard& shard) {
+  const size_t capacity = shard.seq_index.capacity();
+  shard.seq_index.clear();
+  for (const CheckpointEntry& entry : shard.slots) {
+    for (const CheckpointVersion& version : entry.versions) {
+      shard.seq_index.emplace_back(version.seq_num, entry.address);
+    }
+  }
+  std::sort(shard.seq_index.begin(), shard.seq_index.end());
+  shard.seq_rebuild_size =
+      2 * (shard.seq_index.size() + shard.slots.size()) + 64;
+  AddSeqIndexCapacityLocked(shard, capacity);
+}
+
 // (Re)builds the bucket array sized so the next insert keeps load <= 3/4.
 void CheckpointLog::RehashLocked(Shard& shard) {
   size_t cap = 64;
@@ -344,10 +369,14 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
       ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointEvict,
                            device_->device_id(), offset, 0, evicted.seq_num);
     }
+    const size_t seq_capacity = shard.seq_index.capacity();
     shard.seq_index.emplace_back(seq, offset);
-    AddIndexBytes(sizeof(std::pair<SeqNum, PmOffset>));
+    AddSeqIndexCapacityLocked(shard, seq_capacity);
     entry.versions.push_back(version);
     retained_versions_++;
+    if (shard.seq_index.size() >= shard.seq_rebuild_size) {
+      RebuildSeqIndexLocked(shard);
+    }
     RaiseMaxExtent(entry.original.size());
   }
   if (tx_id != 0) {
@@ -531,7 +560,7 @@ std::optional<std::pair<PmOffset, int>> CheckpointLog::LocateSeq(
         return std::make_pair(entry->address, static_cast<int>(i));
       }
     }
-    return std::nullopt;  // version was discarded by an earlier reversion
+    return std::nullopt;  // version left its ring: evicted or reverted
   }
   return std::nullopt;
 }

@@ -275,7 +275,7 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // heap bytes held by the shard payload arenas (chunk footprint), ...
   uint64_t arena_bytes() const { return arena_bytes_.load(); }
   // ... heap bytes held by the per-shard indexes (entry slots, pre-history
-  // originals, hash buckets, seq index), ...
+  // originals, hash buckets, seq-index capacity), ...
   uint64_t index_bytes() const { return index_bytes_.load(); }
   // ... and versions currently retained across all entries.
   uint64_t retained_versions() const { return retained_versions_.load(); }
@@ -290,7 +290,9 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   std::vector<const CheckpointEntry*> Overlapping(PmOffset offset,
                                                   size_t size) const;
 
-  // The (entry address, version index) holding sequence number `seq`.
+  // The (entry address, version index) holding sequence number `seq`, or
+  // nothing once that version has left its entry's ring (evicted or
+  // discarded by a reversion).
   std::optional<std::pair<PmOffset, int>> LocateSeq(SeqNum seq) const;
 
   // Sequence numbers recorded within the same transaction as `seq`
@@ -372,10 +374,14 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
     std::deque<CheckpointEntry> slots;
     // (seq, entry address) pairs in seq order — seqs are allocated under
     // the shard mutex, so plain append keeps this sorted and LocateSeq is
-    // a binary search. Validated against the entry's retained versions at
-    // query time since reverts discard versions. This shard's slice of the
-    // global sequence order.
+    // a binary search. This shard's slice of the global sequence order.
+    // A version that left its entry's ring (evicted or reverted) keeps its
+    // pair until the next rebuild, so LocateSeq validates against the
+    // entry's retained versions.
     std::vector<std::pair<SeqNum, PmOffset>> seq_index;
+    // When seq_index reaches this size, OnPersist rebuilds it from the
+    // retained versions (RebuildSeqIndexLocked).
+    size_t seq_rebuild_size = 64;
     // Version payload storage (CheckpointVersion::data/pre spans).
     PayloadArena arena;
   };
@@ -393,7 +399,8 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
     return shards_[ShardOf(address)];
   }
 
-  // Flat-hash helpers. All require `shard.mutex` (or caller-serialization).
+  // Flat-hash and seq-index helpers. All require `shard.mutex` (or
+  // caller-serialization).
   static CheckpointEntry* FindSlot(Shard& shard, PmOffset address);
   static const CheckpointEntry* FindSlot(const Shard& shard,
                                          PmOffset address);
@@ -402,6 +409,16 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   void RehashLocked(Shard& shard);
   CheckpointEntry& GetOrCreateLocked(Shard& shard, PmOffset address,
                                      size_t size);
+  // Rebuilds the shard's seq index from its entries' retained versions,
+  // dropping the pairs of versions that left their rings, and sets the
+  // size of the next rebuild: 2 x (retained versions + entries) + 64
+  // pairs. A rebuild visits each entry and retained version once, so
+  // doubling its input between rebuilds keeps that under one visit per
+  // persist, and the index under about twice what the shard retains.
+  // The rebuild reuses the vector's storage, so the index stops growing.
+  void RebuildSeqIndexLocked(Shard& shard);
+  // Accounts growth of the seq index's capacity since `old_capacity`.
+  void AddSeqIndexCapacityLocked(Shard& shard, size_t old_capacity);
 
   // This thread's staging buffer for this log (registered on first use).
   TxBuffer& LocalTxBuffer() const;
@@ -420,8 +437,9 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // Restore that steps around current allocator metadata in the range.
   void RestoreBytes(PmOffset address, const uint8_t* data, size_t size);
   void RaiseMaxExtent(size_t extent);
-  // Index-footprint growth (entries never shrink outside destruction):
-  // bumps index_bytes_ and the "checkpoint.index.bytes" accountant cell.
+  // Index-footprint growth (entries, buckets and seq-index capacity never
+  // shrink outside destruction or Restore): bumps index_bytes_ and the
+  // "checkpoint.index.bytes" accountant cell.
   void AddIndexBytes(size_t bytes);
 
   PmemPool* pool_;  // null after Detach()

@@ -230,7 +230,8 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
     Shard& shard = shards_[si];
     shard.slots.clear();
     shard.buckets.clear();
-    shard.seq_index.clear();
+    // Freed, not cleared: the rebuild below accounts its capacity afresh.
+    std::vector<std::pair<SeqNum, PmOffset>>().swap(shard.seq_index);
     shard.arena.Clear();
     for (StagedEntry& src : staged[si]) {
       shard.slots.emplace_back();
@@ -247,14 +248,10 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
         version.data = shard.arena.Store(sv.data.data(), sv.data.size());
         version.pre = shard.arena.Store(sv.pre.data(), sv.pre.size());
         dst.versions.push_back(version);
-        shard.seq_index.emplace_back(sv.seq_num, dst.address);
-        AddIndexBytes(sizeof(std::pair<SeqNum, PmOffset>));
         total_versions++;
       }
     }
-    // On-wire entry order is arbitrary relative to this shard's history, so
-    // re-sort the seq slice to restore the binary-search invariant.
-    std::sort(shard.seq_index.begin(), shard.seq_index.end());
+    RebuildSeqIndexLocked(shard);
     RehashLocked(shard);
     total_entries += shard.slots.size();
   }

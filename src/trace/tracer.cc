@@ -4,7 +4,6 @@
 #include <charconv>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/obs.h"
 
@@ -17,11 +16,17 @@ std::atomic<uint64_t> g_next_tracer_id{1};
 constexpr size_t kMaxDecimalDigits =
     std::numeric_limits<uint64_t>::digits10 + 1;
 
-struct GuidAddressHash {
-  size_t operator()(const std::pair<Guid, PmOffset>& p) const {
-    return std::hash<uint64_t>()(p.first * 0x9E3779B97F4A7C15ULL ^ p.second);
-  }
-};
+// Mixes a (guid, address) pair and folds the high bits down: the filter
+// and the archive buckets keep only low bits, and addresses are aligned.
+constexpr uint64_t PairHash(Guid guid, PmOffset address) {
+  const uint64_t h =
+      (address ^ guid * 0x9E3779B97F4A7C15ULL) * 0xBF58476D1CE4E5B9ULL;
+  return h ^ (h >> 31);
+}
+
+constexpr size_t FilterSlot(Guid guid, PmOffset address, size_t slots) {
+  return PairHash(guid, address) & (slots - 1);
+}
 
 // Parses [first, last) as one whole unsigned decimal number, rejecting an
 // empty field, any other character, and values that overflow.
@@ -42,11 +47,21 @@ Tracer::Tracer(size_t buffer_capacity)
 
 Tracer::~Tracer() = default;
 
+// An empty filter slot holds a pair that hashes to another slot, so no
+// lookup can match it: (0, 0) hashes to slot 0, and (0, 1) does not.
+void Tracer::ResetFilter(ThreadBuffer& buf) {
+  static_assert(FilterSlot(kNoGuid, 0, kFilterSlots) == 0 &&
+                FilterSlot(kNoGuid, 1, kFilterSlots) != 0);
+  buf.recent.fill({kNoGuid, 0});
+  buf.recent[0] = {kNoGuid, 1};
+}
+
 Tracer::ThreadBuffer& Tracer::LocalBuffer() {
   auto it = tls_buffers.find(id_);
   if (it == tls_buffers.end()) {
     auto owned = std::make_unique<ThreadBuffer>();
     owned->events.reserve(buffer_capacity_);
+    ResetFilter(*owned);
     ThreadBuffer* raw = owned.get();
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -61,96 +76,142 @@ void Tracer::Record(Guid guid, PmOffset address) {
   if (!enabled_) {
     return;
   }
+  const uint64_t index = stats_.records.fetch_add(1);
   ThreadBuffer& buf = LocalBuffer();
-  buf.events.push_back({guid, address, stats_.records.fetch_add(1)});
+  buf.records++;
+  std::pair<Guid, PmOffset>& recent =
+      buf.recent[FilterSlot(guid, address, kFilterSlots)];
+  if (recent.first == guid && recent.second == address) {
+    return;
+  }
+  recent = {guid, address};
+  buf.events.push_back({guid, address, index});
   if (buf.events.size() >= buffer_capacity_) {
     std::lock_guard<std::mutex> lock(mutex_);
     FlushBufferLocked(buf);
   }
 }
 
+uint32_t& Tracer::BucketFor(Guid guid, PmOffset address) {
+  const size_t mask = buckets_.size() - 1;
+  for (size_t i = PairHash(guid, address) & mask;; i = (i + 1) & mask) {
+    uint32_t& bucket = buckets_[i];
+    if (bucket == 0 || (archive_[bucket - 1].guid == guid &&
+                        archive_[bucket - 1].address == address)) {
+      return bucket;
+    }
+  }
+}
+
+void Tracer::RehashLocked() {
+  size_t cap = 64;
+  while (cap < 2 * (archive_.size() + 1)) {
+    cap <<= 1;
+  }
+  buckets_.assign(cap, 0);
+  for (size_t i = 0; i < archive_.size(); i++) {
+    BucketFor(archive_[i].guid, archive_[i].address) =
+        static_cast<uint32_t>(i + 1);
+  }
+}
+
 void Tracer::FlushBufferLocked(ThreadBuffer& buf) {
-  if (buf.events.empty()) {
+  if (buf.records == 0) {
     return;
   }
   // Registry mirror happens at flush granularity so the Record() hot path
-  // (Table 8's instrumentation overhead) stays a buffered push_back.
-  ARTHAS_COUNTER_ADD("trace.record.count", buf.events.size());
+  // (Table 8's instrumentation overhead) stays a filter probe and a
+  // buffered push_back.
+  ARTHAS_COUNTER_ADD("trace.record.count", buf.records);
   ARTHAS_COUNTER_ADD("trace.flush.count", 1);
-  // A thread's buffer is index-sorted (the atomic counter is monotonic and
-  // the thread appends sequentially); merging keeps the whole archive in
-  // total event order. Single-threaded, the merge is a no-op append.
-  const auto middle_at = archive_.size();
-  archive_.insert(archive_.end(), buf.events.begin(), buf.events.end());
-  std::inplace_merge(archive_.begin(),
-                     archive_.begin() + static_cast<ptrdiff_t>(middle_at),
-                     archive_.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.index < b.index;
-                     });
+  buf.records = 0;
+  for (const TraceEvent& e : buf.events) {
+    if (2 * (archive_.size() + 1) > buckets_.size()) {
+      RehashLocked();
+    }
+    uint32_t& bucket = BucketFor(e.guid, e.address);
+    if (bucket == 0) {
+      archive_sorted_ = archive_sorted_ &&
+                        (archive_.empty() || archive_.back().index < e.index);
+      archive_.push_back(e);
+      bucket = static_cast<uint32_t>(archive_.size());
+      index_dirty_ = true;
+    } else if (e.index < archive_[bucket - 1].index) {
+      // Another thread's buffer folded this pair first, from a later record.
+      archive_[bucket - 1].index = e.index;
+      archive_sorted_ = false;
+      index_dirty_ = true;
+    }
+  }
   buf.events.clear();
   stats_.buffer_flushes++;
-  index_dirty_ = true;
+}
+
+void Tracer::FlushAllLocked() {
+  for (const auto& buf : buffers_) {
+    FlushBufferLocked(*buf);
+  }
+  if (!archive_sorted_) {
+    std::sort(archive_.begin(), archive_.end(),
+              [](const TraceEvent& a, const TraceEvent& b) {
+                return a.index < b.index;
+              });
+    RehashLocked();
+    archive_sorted_ = true;
+  }
 }
 
 void Tracer::Flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buf : buffers_) {
-    FlushBufferLocked(*buf);
-  }
+  FlushAllLocked();
 }
 
-void Tracer::RebuildIndex() {
-  Flush();
-  std::lock_guard<std::mutex> lock(mutex_);
+void Tracer::RebuildIndexLocked() {
+  FlushAllLocked();
   if (!index_dirty_) {
     return;
   }
   by_guid_.clear();
   by_address_.clear();
-  std::unordered_set<std::pair<Guid, PmOffset>, GuidAddressHash> seen;
-  seen.reserve(archive_.size());
   by_address_.reserve(archive_.size());
   for (const TraceEvent& e : archive_) {
-    if (seen.insert({e.guid, e.address}).second) {
-      by_guid_[e.guid].push_back(e.address);
-      by_address_.push_back({e.address, e.guid});
-    }
+    by_guid_[e.guid].push_back(e.address);
+    by_address_.push_back({e.address, e.guid});
   }
   std::sort(by_address_.begin(), by_address_.end());
   index_dirty_ = false;
 }
 
 std::vector<TraceEvent> Tracer::Events() {
-  Flush();
   std::lock_guard<std::mutex> lock(mutex_);
+  FlushAllLocked();
   return archive_;
 }
 
 uint64_t Tracer::EventCount() {
-  Flush();
   std::lock_guard<std::mutex> lock(mutex_);
+  FlushAllLocked();
   return archive_.size();
 }
 
 void Tracer::ForEachEvent(const std::function<void(const TraceEvent&)>& fn) {
-  Flush();
   std::lock_guard<std::mutex> lock(mutex_);
+  FlushAllLocked();
   for (const TraceEvent& e : archive_) {
     fn(e);
   }
 }
 
 std::vector<PmOffset> Tracer::AddressesForGuid(Guid guid) {
-  RebuildIndex();
   std::lock_guard<std::mutex> lock(mutex_);
+  RebuildIndexLocked();
   auto it = by_guid_.find(guid);
   return it == by_guid_.end() ? std::vector<PmOffset>{} : it->second;
 }
 
 std::vector<Guid> Tracer::GuidsForRange(PmOffset offset, size_t size) {
-  RebuildIndex();
   std::lock_guard<std::mutex> lock(mutex_);
+  RebuildIndexLocked();
   std::vector<Guid> out;
   auto it = std::lower_bound(by_address_.begin(), by_address_.end(),
                              std::make_pair(offset, Guid{0}));
@@ -163,9 +224,9 @@ std::vector<Guid> Tracer::GuidsForRange(PmOffset offset, size_t size) {
 }
 
 std::string Tracer::Serialize() {
-  Flush();
   std::lock_guard<std::mutex> lock(mutex_);
-  // Room for the longest possible line per event, cut to what was written.
+  FlushAllLocked();
+  // Room for the longest possible line per pair, cut to what was written.
   constexpr size_t kMaxLine = 2 * kMaxDecimalDigits + 2;
   std::string out(archive_.size() * kMaxLine, '\0');
   char* cursor = out.data();
@@ -205,11 +266,16 @@ void Tracer::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& buf : buffers_) {
     buf->events.clear();
+    buf->records = 0;
+    ResetFilter(*buf);
   }
   archive_.clear();
+  buckets_.clear();
+  archive_sorted_ = true;
   // Derived state must reset with the archive: the lazy indexes would
-  // otherwise keep serving pre-Clear results until the next Record, and the
-  // stats (which also seed event indexes) would keep counting.
+  // otherwise keep serving pre-Clear results until the next Record, the
+  // filters would drop the next record of a pair recorded before Clear,
+  // and the stats (which also seed record indexes) would keep counting.
   by_guid_.clear();
   by_address_.clear();
   index_dirty_ = true;

@@ -1,18 +1,23 @@
 // Lightweight runtime PM-address tracing (paper Section 4.1, step 1).
 //
 // The instrumented target system calls Record(guid, address) just before
-// each PM instruction executes. To keep the overhead negligible (Table 8),
-// events are buffered in memory and flushed in batches, mirroring the
-// paper's inlined tracing with asynchronous file flushing. The reactor
-// consumes the trace to learn which dynamic PM addresses each static
-// instruction (GUID) touched.
+// each PM instruction executes. The reactor consumes the trace only to learn
+// which dynamic PM addresses each static instruction (GUID) touched, for the
+// <GUID, address> join with the PDG, so the tracer keeps each distinct
+// (GUID, address) pair once, at the index of its first record: its memory
+// is O(distinct pairs), not O(records), however long the target serves.
+// stats().records still counts every call. To keep the overhead negligible
+// (Table 8), records are buffered in memory and folded in batches, mirroring
+// the paper's inlined tracing with asynchronous file flushing.
 //
 // Concurrency model (see DESIGN.md "Concurrency model"):
-//   * Record() is thread-safe and mostly lock-free: each thread appends to
-//     its own buffer (registered with the tracer on first use) and takes
-//     the archive lock only when its buffer fills. Event indexes come from
-//     one atomic counter, so the archive preserves a total event order even
-//     across threads (buffers are merged by index at flush time).
+//   * Record() is thread-safe and mostly lock-free: each thread skips a
+//     pair its direct-mapped filter of recent pairs already holds, appends
+//     any other to its own buffer (registered with the tracer on first
+//     use), and takes the archive lock only when its buffer fills, to fold
+//     the buffer into the archive of distinct pairs. Record indexes come
+//     from one atomic counter and the fold keeps each pair's smallest, so
+//     first-record order is a total order even across threads.
 //   * The epoch operations — Flush() of *all* thread buffers, Events(),
 //     the Serialize/query family, Clear(), set_enabled() — are
 //     caller-serialized: run them while no thread is inside Record() (the
@@ -22,6 +27,7 @@
 #ifndef ARTHAS_TRACE_TRACER_H_
 #define ARTHAS_TRACE_TRACER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -37,13 +43,15 @@
 
 namespace arthas {
 
+// One distinct (GUID, address) pair of the trace.
 struct TraceEvent {
   Guid guid = kNoGuid;
   PmOffset address = kNullPmOffset;
-  uint64_t index = 0;  // monotonically increasing event number
+  uint64_t index = 0;  // record number of the pair's first record
 };
 
-// Fields are atomics: `records` doubles as the global event-index source.
+// Fields are atomics: `records` counts every Record() while enabled and
+// doubles as the global record-index source.
 struct TracerStats {
   std::atomic<uint64_t> records{0};
   std::atomic<uint64_t> buffer_flushes{0};
@@ -51,7 +59,7 @@ struct TracerStats {
 
 class Tracer {
  public:
-  // `buffer_capacity` events are held per thread before an automatic flush
+  // `buffer_capacity` pairs are held per thread before an automatic flush
   // to the archive (the paper flushes the in-memory buffer to a file when
   // full).
   explicit Tracer(size_t buffer_capacity = 4096);
@@ -61,7 +69,8 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   // Fast path, called by instrumented PM call sites. Thread-safe; appends
-  // to the calling thread's buffer.
+  // to the calling thread's buffer unless its filter already holds the
+  // pair.
   void Record(Guid guid, PmOffset address);
 
   // Toggles instrumentation, for the overhead ablation of Table 8 (a
@@ -69,36 +78,36 @@ class Tracer {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  // Moves every thread's buffered events to the archive (simulates the
+  // Folds every thread's buffered pairs into the archive (simulates the
   // async file flush; also called when the system stops). An epoch
   // operation: caller-serialized.
   void Flush();
 
-  // Snapshot of everything recorded so far, in event-index order (flushes
-  // first). Returned by value: the archive may be re-sorted by a concurrent
-  // Record-triggered flush, so a reference would be invalidated mid-
-  // iteration.
+  // Snapshot of every distinct pair recorded so far, in first-record order
+  // (flushes first). Returned by value: a later Record-triggered flush may
+  // grow the archive, so a reference would be invalidated mid-iteration.
   std::vector<TraceEvent> Events();
 
-  // Number of events recorded so far (flushes first). An epoch operation.
-  // Use this (or ForEachEvent) instead of Events().size(): Events() copies
-  // the whole archive per call.
+  // Number of distinct pairs recorded so far (flushes first); every call
+  // is counted in stats().records. An epoch operation. Use this (or
+  // ForEachEvent) instead of Events().size(): Events() copies the archive.
   uint64_t EventCount();
 
-  // Visits every archived event in event-index order without copying the
+  // Visits every distinct pair in first-record order without copying the
   // archive (flushes first). An epoch operation; `fn` must not call back
   // into this tracer.
   void ForEachEvent(const std::function<void(const TraceEvent&)>& fn);
 
   // Dynamic addresses a static instruction touched (deduplicated, in first-
-  // record order). Served from an index rebuilt lazily after new records.
+  // record order). Served from an index rebuilt lazily after new pairs.
   std::vector<PmOffset> AddressesForGuid(Guid guid);
 
   // GUIDs that ever touched an address inside [offset, offset + size)
   // (deduplicated).
   std::vector<Guid> GuidsForRange(PmOffset offset, size_t size);
 
-  // Serialize the archive in the "guid<TAB>address" trace-file format.
+  // Serialize the archive in the "guid<TAB>address" trace-file format: one
+  // line per distinct pair, in first-record order.
   std::string Serialize();
   // Records every line of a trace file. A line that is not two unsigned
   // decimal numbers separated by a tab is Corruption; lines before it stay
@@ -110,10 +119,18 @@ class Tracer {
   const TracerStats& stats() const { return stats_; }
 
  private:
-  // One thread's pending events. Owned by the tracer (so events survive
+  static constexpr size_t kFilterSlots = 4096;
+
+  // One thread's pending pairs. Owned by the tracer (so they survive
   // thread exit until the next flush); written only by its thread.
   struct ThreadBuffer {
     std::vector<TraceEvent> events;
+    // Record() calls since the last flush, the filtered ones included.
+    uint64_t records = 0;
+    // Direct-mapped filter of pairs this thread recorded since the last
+    // Clear(). A pair found here is already buffered or archived at a
+    // smaller index, so Record() drops it.
+    std::array<std::pair<Guid, PmOffset>, kFilterSlots> recent;
   };
 
   // The calling thread's buffer for this tracer, registering it on first
@@ -121,17 +138,38 @@ class Tracer {
   // that is never reused, so entries for dead tracers can never alias a
   // live one.
   ThreadBuffer& LocalBuffer();
-  // Merges `buf` (sorted by index) into the archive. Requires mutex_.
+  // Empties the filter of `buf`.
+  static void ResetFilter(ThreadBuffer& buf);
+  // Folds `buf` into the archive. Requires mutex_.
   void FlushBufferLocked(ThreadBuffer& buf);
-  void RebuildIndex();
+  // Folds every buffer and puts the archive in first-record order.
+  // Requires mutex_.
+  void FlushAllLocked();
+  // The bucket holding the archive position of (guid, address), or the
+  // empty bucket it would take. Requires mutex_.
+  uint32_t& BucketFor(Guid guid, PmOffset address);
+  // Rebuilds buckets_ from archive_, sized for one more pair. Requires
+  // mutex_.
+  void RehashLocked();
+  // Rebuilds by_guid_/by_address_ if new pairs arrived. Requires mutex_.
+  void RebuildIndexLocked();
 
   bool enabled_ = true;
   const size_t buffer_capacity_;
   const uint64_t id_;  // process-unique, never reused
-  // Guards the archive, the buffer registry, and the lazy indexes.
+  // Guards the archive, its buckets, the buffer registry, and the lazy
+  // indexes.
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  std::vector<TraceEvent> archive_;  // sorted by event index
+  // Every distinct pair once, at its first record index. In fold order,
+  // which is first-record order unless buffers of different threads folded
+  // out of order (archive_sorted_ false); FlushAllLocked re-sorts it then.
+  std::vector<TraceEvent> archive_;
+  bool archive_sorted_ = true;
+  // Open-addressing index over archive_: each bucket holds (archive
+  // position + 1), 0 = empty. Power-of-two size, linear probing, load at
+  // most 1/2.
+  std::vector<uint32_t> buckets_;
   // Lazily rebuilt query indexes over the archive.
   bool index_dirty_ = true;
   std::map<Guid, std::vector<PmOffset>> by_guid_;

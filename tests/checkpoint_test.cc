@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <optional>
 #include <thread>
 
 #include "checkpoint/checkpoint_log.h"
@@ -355,6 +356,80 @@ TEST_F(CheckpointTest, LocateSeqFindsEntryAndVersion) {
   EXPECT_EQ(loc->first, oid.off);
   EXPECT_EQ(loc->second, 1);
   EXPECT_FALSE(log_->LocateSeq(9999).has_value());
+}
+
+// Brute-force LocateSeq: scan every retained version of every entry.
+std::optional<std::pair<PmOffset, int>> ScanForSeq(const CheckpointLog& log,
+                                                   SeqNum seq) {
+  std::optional<std::pair<PmOffset, int>> found;
+  log.ForEachEntry([&](const CheckpointEntry& entry) {
+    for (size_t i = 0; i < entry.versions.size(); i++) {
+      if (entry.versions[i].seq_num == seq) {
+        found = std::make_pair(entry.address, static_cast<int>(i));
+      }
+    }
+  });
+  return found;
+}
+
+void ExpectLocateSeqMatchesScan(const CheckpointLog& log) {
+  for (SeqNum seq = kNoSeq; seq <= log.LatestSeq() + 1; seq++) {
+    EXPECT_EQ(log.LocateSeq(seq), ScanForSeq(log, seq)) << "seq " << seq;
+  }
+}
+
+// Versions leave their rings by eviction, RevertSeq and RollbackToSeq, and
+// Restore replaces them all; LocateSeq must keep answering for exactly the
+// retained ones.
+TEST_F(CheckpointTest, LocateSeqMatchesRetainedVersionsAcrossDiscards) {
+  std::vector<Oid> oids;
+  for (int i = 0; i < 24; i++) {
+    oids.push_back(*pool_->Zalloc(64));
+  }
+  Rng rng(5);
+  auto churn = [&](int persists) {
+    for (int i = 0; i < persists; i++) {
+      WriteAndPersist(oids[rng.NextBelow(oids.size())], rng.NextU64());
+    }
+  };
+  churn(1500);
+  ExpectLocateSeqMatchesScan(*log_);
+
+  for (int round = 0; round < 4; round++) {
+    const CheckpointEntry* entry =
+        log_->Find(oids[rng.NextBelow(oids.size())].off);
+    ASSERT_NE(entry, nullptr);
+    ASSERT_TRUE(
+        log_->RevertSeq(entry->versions[rng.NextBelow(entry->versions.size())]
+                            .seq_num)
+            .ok());
+    churn(200);
+  }
+  ExpectLocateSeqMatchesScan(*log_);
+
+  ASSERT_TRUE(log_->RollbackToSeq(log_->LatestSeq() - 60).ok());
+  ExpectLocateSeqMatchesScan(*log_);
+  churn(300);
+  const std::vector<uint8_t> image = log_->Serialize();
+  churn(300);
+  ASSERT_TRUE(log_->Restore(image).ok());
+  ExpectLocateSeqMatchesScan(*log_);
+  churn(500);
+  ExpectLocateSeqMatchesScan(*log_);
+}
+
+// The seq index follows retained versions, not persists: 100k persists
+// over 64 addresses must not keep a 16-B pair each (1.6 MB).
+TEST_F(CheckpointTest, SeqIndexStaysBoundedUnderRingEvictions) {
+  std::vector<Oid> oids;
+  for (int i = 0; i < 64; i++) {
+    oids.push_back(*pool_->Zalloc(64));
+  }
+  for (uint64_t i = 0; i < 100000; i++) {
+    WriteAndPersist(oids[i % oids.size()], i);
+  }
+  EXPECT_EQ(log_->retained_versions(), 64u * 3);
+  EXPECT_LT(log_->index_bytes(), 64u * 1024);
 }
 
 TEST_F(CheckpointTest, SerializeRestoreRoundTrip) {

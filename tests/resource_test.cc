@@ -209,6 +209,33 @@ TEST(PayloadArenaAccountingTest, LargeSpansAccountExactBytes) {
   EXPECT_EQ(CellValue("checkpoint.arena.live.bytes"), live0);
 }
 
+// The seq index stops growing once rebuilds reuse its storage; the cell
+// follows index_bytes() through rebuilds and Restore, and destruction
+// returns all of it.
+TEST(CheckpointIndexAccountingTest, CellFollowsSeqIndexRebuilds) {
+  const int64_t index0 = CellValue("checkpoint.index.bytes");
+  {
+    auto pool = *PmemPool::Create("index_cell", 256 * 1024);
+    CheckpointLog log(*pool);
+    std::vector<Oid> oids;
+    for (int i = 0; i < 16; i++) {
+      oids.push_back(*pool->Zalloc(64));
+    }
+    for (uint64_t i = 0; i < 20000; i++) {
+      *pool->Direct<uint64_t>(oids[i % oids.size()]) = i;
+      pool->Persist(oids[i % oids.size()], 0, 8);
+    }
+    EXPECT_LT(log.index_bytes(), 64u * 1024);  // parent: 320 KB of pairs
+    EXPECT_EQ(CellValue("checkpoint.index.bytes"),
+              index0 + CellDelta(static_cast<int64_t>(log.index_bytes())));
+    // Restore rebuilds the index and accounts it afresh.
+    ASSERT_TRUE(log.Restore(log.Serialize()).ok());
+    EXPECT_EQ(CellValue("checkpoint.index.bytes"),
+              index0 + CellDelta(static_cast<int64_t>(log.index_bytes())));
+  }
+  EXPECT_EQ(CellValue("checkpoint.index.bytes"), index0);
+}
+
 TEST(PayloadArenaAccountingTest, FourThreadChurnBalancesToZero) {
   const int64_t chunk0 = CellValue("checkpoint.arena.bytes");
   const int64_t live0 = CellValue("checkpoint.arena.live.bytes");

@@ -1,12 +1,147 @@
 // Tests for the GUID registry and the runtime PM-address tracer.
 
+#include <algorithm>
 #include <gtest/gtest.h>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/rng.h"
 #include "trace/guid_registry.h"
 #include "trace/tracer.h"
 
 namespace arthas {
 namespace {
+
+// Reference model: the tracer as it was when it archived every record,
+// deduplicating only on query (Distinct() and the queries below).
+class FullArchiveTracer {
+ public:
+  void Record(Guid guid, PmOffset address) {
+    archive_.push_back({guid, address, archive_.size()});
+  }
+  void Clear() { archive_.clear(); }
+
+  // Each distinct pair at its first record, in record order.
+  std::vector<TraceEvent> Distinct() const {
+    std::vector<TraceEvent> out;
+    std::set<std::pair<Guid, PmOffset>> seen;
+    for (const TraceEvent& e : archive_) {
+      if (seen.insert({e.guid, e.address}).second) {
+        out.push_back(e);
+      }
+    }
+    return out;
+  }
+
+  // One line per record, as trace files were written then.
+  std::string Serialize() const {
+    std::string out;
+    for (const TraceEvent& e : archive_) {
+      out += std::to_string(e.guid) + "\t" + std::to_string(e.address) + "\n";
+    }
+    return out;
+  }
+
+ private:
+  std::vector<TraceEvent> archive_;
+};
+
+std::vector<PmOffset> ReferenceAddressesForGuid(
+    const std::vector<TraceEvent>& distinct, Guid guid) {
+  std::vector<PmOffset> out;
+  for (const TraceEvent& e : distinct) {
+    if (e.guid == guid) {
+      out.push_back(e.address);
+    }
+  }
+  return out;
+}
+
+// Distinct guids over the (address, guid)-sorted pairs in range.
+std::vector<Guid> ReferenceGuidsForRange(
+    const std::vector<TraceEvent>& distinct, PmOffset offset, size_t size) {
+  std::vector<std::pair<PmOffset, Guid>> by_address;
+  for (const TraceEvent& e : distinct) {
+    by_address.push_back({e.address, e.guid});
+  }
+  std::sort(by_address.begin(), by_address.end());
+  std::vector<Guid> out;
+  for (const auto& [address, guid] : by_address) {
+    if (address >= offset && address < offset + size &&
+        std::find(out.begin(), out.end(), guid) == out.end()) {
+      out.push_back(guid);
+    }
+  }
+  return out;
+}
+
+constexpr Guid kStreamGuids = 6;
+constexpr PmOffset kStreamSpan = 4096;
+
+// Asserts `tracer` answers every query as the reference does. With
+// `check_index`, the first-record indexes must match too (a trace parsed
+// from a file renumbers them).
+void ExpectSameAnswers(Tracer& tracer, const FullArchiveTracer& reference,
+                       bool check_index) {
+  const std::vector<TraceEvent> expected = reference.Distinct();
+  const std::vector<TraceEvent> events = tracer.Events();
+  ASSERT_EQ(events.size(), expected.size());
+  EXPECT_EQ(tracer.EventCount(), expected.size());
+  for (size_t i = 0; i < events.size(); i++) {
+    EXPECT_EQ(events[i].guid, expected[i].guid) << i;
+    EXPECT_EQ(events[i].address, expected[i].address) << i;
+    if (check_index) {
+      EXPECT_EQ(events[i].index, expected[i].index) << i;
+    }
+  }
+  for (Guid guid = 0; guid <= kStreamGuids + 1; guid++) {
+    EXPECT_EQ(tracer.AddressesForGuid(guid),
+              ReferenceAddressesForGuid(expected, guid))
+        << guid;
+  }
+  for (PmOffset offset = 0; offset < kStreamSpan; offset += 200) {
+    for (size_t size : {1, 8, 64, 700}) {
+      EXPECT_EQ(tracer.GuidsForRange(offset, size),
+                ReferenceGuidsForRange(expected, offset, size))
+          << offset << "+" << size;
+    }
+  }
+}
+
+// Feeds `records` pairs per thread, from `threads` threads, to the tracer
+// and the reference in one shared order. Most records repeat a few hot
+// pairs. One thread records on the calling thread, so its buffer and
+// filter outlive a Clear() between calls.
+void FeedStream(Tracer& tracer, FullArchiveTracer& reference, int threads,
+                int records, uint64_t seed) {
+  std::mutex order;
+  auto feed = [&](uint64_t stream_seed) {
+    Rng rng(stream_seed);
+    for (int i = 0; i < records; i++) {
+      const Guid guid = 1 + rng.NextBelow(kStreamGuids);
+      const PmOffset address = rng.NextBool(0.8)
+                                   ? rng.NextBelow(16) * 64
+                                   : rng.NextBelow(kStreamSpan / 8) * 8;
+      std::lock_guard<std::mutex> lock(order);
+      tracer.Record(guid, address);
+      reference.Record(guid, address);
+    }
+  };
+  if (threads == 1) {
+    feed(seed);
+    return;
+  }
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; t++) {
+    workers.emplace_back(feed, seed + static_cast<uint64_t>(t));
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
+}
 
 TEST(GuidRegistryTest, RegisterAndLookup) {
   GuidRegistry registry;
@@ -160,6 +295,59 @@ TEST(TracerTest, SerializeWritesOneDecimalLinePerEvent) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[1].guid, ~Guid{0});
   EXPECT_EQ(events[1].address, ~PmOffset{0} - 1);
+}
+
+// The archive keeps each pair once, yet every query, the first-record
+// order and a trace-file round trip answer as the full archive did.
+TEST(TracerTest, DistinctArchiveAnswersAsFullArchive) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    Tracer tracer(/*buffer_capacity=*/64);  // many folds per stream
+    FullArchiveTracer reference;
+    FeedStream(tracer, reference, threads, 6000, 11);
+    ExpectSameAnswers(tracer, reference, /*check_index=*/true);
+    // Mid-stream Clear(): pairs seen before it must be archived again.
+    tracer.Clear();
+    reference.Clear();
+    FeedStream(tracer, reference, threads, 6000, 11);
+    FeedStream(tracer, reference, threads, 6000, 23);
+    ExpectSameAnswers(tracer, reference, /*check_index=*/true);
+
+    Tracer copy;
+    ASSERT_TRUE(copy.ParseAppend(tracer.Serialize()).ok());
+    ExpectSameAnswers(copy, reference, /*check_index=*/false);
+    // A trace file written with one line per record parses to the same.
+    Tracer from_full;
+    ASSERT_TRUE(from_full.ParseAppend(reference.Serialize()).ok());
+    ExpectSameAnswers(from_full, reference, /*check_index=*/false);
+  }
+}
+
+// A pair folded first from another thread's later record still lists at
+// its first record, ahead of pairs recorded after that.
+TEST(TracerTest, CrossThreadFoldKeepsFirstRecordOrder) {
+  Tracer tracer(/*buffer_capacity=*/2);
+  std::thread([&] { tracer.Record(1, 64); }).join();  // stays buffered
+  std::thread([&] {
+    tracer.Record(2, 128);
+    tracer.Record(1, 64);  // fills this thread's buffer: folded first
+  }).join();
+  const std::vector<TraceEvent> events = tracer.Events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].guid, 1u);
+  EXPECT_EQ(events[0].index, 0u);
+  EXPECT_EQ(events[1].guid, 2u);
+  EXPECT_EQ(events[1].index, 1u);
+}
+
+// Memory follows distinct pairs, not records.
+TEST(TracerTest, ArchiveHoldsEachPairOnce) {
+  Tracer tracer;
+  for (uint64_t i = 0; i < 1000000; i++) {
+    tracer.Record(1 + i % 10, (i / 10 % 10) * 64);
+  }
+  EXPECT_EQ(tracer.EventCount(), 100u);
+  EXPECT_EQ(tracer.stats().records, 1000000u);
 }
 
 TEST(TracerTest, ParseAppendRejectsMalformedFieldsAsCorruption) {
