@@ -406,10 +406,10 @@ int RunThreadSweep(int max_threads, uint64_t total_ops,
 
 // Like MeasureThroughput in Arthas mode, but every operation is wrapped in
 // the request-trace lifecycle the dispatcher runs per network request:
-// batch begin, command begin/end, batch end (which builds and commits the
-// trace record), reply flush. The deep hooks (flush/drain/section stage
+// batch begin, command begin/end, batch end, reply flush (which builds and
+// commits the trace record). The deep hooks (flush/drain/section stage
 // scopes) fire inside Handle() either way; with the plane disabled the
-// whole lifecycle collapses to one relaxed load per batch.
+// lifecycle reads no clock and records nothing.
 double MeasureThroughputTraced(const SystemFactory& factory, bool ycsb_mix) {
   auto system = factory();
   system->tracer().set_enabled(true);
@@ -425,11 +425,11 @@ double MeasureThroughputTraced(const SystemFactory& factory, bool ycsb_mix) {
   for (int i = 0; i < kOps; i++) {
     SimulatedRequestWork();
     const int64_t received_ns = ARTHAS_REQTRACE_NOW();
-    ARTHAS_REQTRACE_BATCH_BEGIN(received_ns);
-    ARTHAS_REQTRACE_COMMAND_BEGIN(0, 0, 0);
+    const bool traced = ARTHAS_REQTRACE_BATCH_BEGIN(received_ns);
+    ARTHAS_REQTRACE_COMMAND_BEGIN(0, 0, 0, received_ns);
     system->Handle(workload.Next());
-    ARTHAS_REQTRACE_COMMAND_END(false);
-    const int64_t done_ns = ARTHAS_REQTRACE_NOW();
+    const int64_t done_ns = ARTHAS_REQTRACE_NOW_IF(traced);
+    ARTHAS_REQTRACE_COMMAND_END(done_ns, false);
     ARTHAS_REQTRACE_BATCH_END(received_ns, received_ns, done_ns, done_ns);
     ARTHAS_REQTRACE_REPLY_FLUSHED();
   }

@@ -20,18 +20,20 @@ NetDispatcher::NetDispatcher(PmSystemTarget& system, ReactorServer* reactor,
       [](uint8_t op) { return NetOpName(static_cast<NetOp>(op)); });
 }
 
-void NetDispatcher::ExecuteBatch(const std::vector<NetCommand>& commands,
+void NetDispatcher::ExecuteBatch(std::span<const NetCommand> commands,
                                  std::string* out, int64_t received_ns) {
   if (commands.empty()) {
     return;
   }
-  ARTHAS_REQTRACE_BATCH_BEGIN(received_ns != 0 ? received_ns
-                                               : ARTHAS_REQTRACE_NOW());
+  // Every trace-plane clock read below is gated on `traced`, so a disabled
+  // plane reads none.
+  const bool traced = ARTHAS_REQTRACE_BATCH_BEGIN(
+      received_ns != 0 ? received_ns : ARTHAS_REQTRACE_NOW());
   bool saw_fault = false;
   {
-    const int64_t lock_start_ns = ARTHAS_REQTRACE_NOW();
+    const int64_t lock_start_ns = ARTHAS_REQTRACE_NOW_IF(traced);
     std::lock_guard<std::mutex> lock(system_.request_mutex());
-    const int64_t lock_end_ns = ARTHAS_REQTRACE_NOW();
+    const int64_t lock_end_ns = ARTHAS_REQTRACE_NOW_IF(traced);
     // Declared before the batch scope: FASE's SectionEnd drains the device
     // ahead of its commit record, so the batch's own drain (~BatchScope)
     // must already have run by then. Both live in optionals so the trace
@@ -41,9 +43,12 @@ void NetDispatcher::ExecuteBatch(const std::vector<NetCommand>& commands,
     if (options_.batch_persists) {
       batch.emplace(system_.pool().device());
     }
+    // Command i ends where command i+1 begins: one clock read per boundary,
+    // and the last one marks the end of execution.
+    int64_t boundary_ns = ARTHAS_REQTRACE_NOW_IF(traced);
     for (const NetCommand& command : commands) {
       ARTHAS_REQTRACE_COMMAND_BEGIN(command.trace_id, command.origin_ns,
-                                    command.op);
+                                    command.op, boundary_ns);
       switch (command.op) {
         case NetOp::kGet:
         case NetOp::kSet:
@@ -74,17 +79,18 @@ void NetDispatcher::ExecuteBatch(const std::vector<NetCommand>& commands,
           EncodeError(command.text, out);
           break;
       }
-      ARTHAS_REQTRACE_COMMAND_END(system_.last_fault().has_value());
+      boundary_ns = ARTHAS_REQTRACE_NOW_IF(traced);
+      ARTHAS_REQTRACE_COMMAND_END(boundary_ns,
+                                  system_.last_fault().has_value());
     }
     saw_fault = system_.last_fault().has_value();
-    ARTHAS_HISTOGRAM_RECORD("net.batch.size", commands.size());
-    ARTHAS_COUNTER_ADD("net.req.count", commands.size());
-    const int64_t exec_done_ns = ARTHAS_REQTRACE_NOW();
     batch.reset();    // the batch's one drain
     section.reset();  // substrate commit (FASE re-drains the log tail)
-    ARTHAS_REQTRACE_BATCH_END(lock_start_ns, lock_end_ns, exec_done_ns,
-                              ARTHAS_REQTRACE_NOW());
+    ARTHAS_REQTRACE_BATCH_END(lock_start_ns, lock_end_ns, boundary_ns,
+                              ARTHAS_REQTRACE_NOW_IF(traced));
   }
+  ARTHAS_HISTOGRAM_RECORD("net.batch.size", commands.size());
+  ARTHAS_COUNTER_ADD("net.req.count", commands.size());
   if (saw_fault) {
     MaybeRecover();
   }

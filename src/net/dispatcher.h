@@ -39,8 +39,8 @@
 
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "net/protocol.h"
 #include "systems/pm_system.h"
@@ -77,10 +77,11 @@ class NetDispatcher {
   // command to `out` (same order — the client matches replies by position).
   // Thread-safe: concurrent batches serialize on the system's request lock.
   // `received_ns` is when the server read() returned the batch's bytes
-  // (0 = now); it anchors each command's request trace, which is assigned
-  // its server-side trace id here at parse-result time unless the wire
-  // carried a `*<id>` context.
-  void ExecuteBatch(const std::vector<NetCommand>& commands, std::string* out,
+  // (0 = now); it anchors each command's request trace. The traces are
+  // built, and commands without a `*<id>` context get their server-side
+  // trace id, when the caller reports the replies flushed
+  // (ARTHAS_REQTRACE_REPLY_FLUSHED).
+  void ExecuteBatch(std::span<const NetCommand> commands, std::string* out,
                     int64_t received_ns = 0);
 
   PmSystemTarget& system() { return system_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <span>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -335,14 +336,13 @@ bool NetServer::HandleReadable(Loop& loop, Connection& conn) {
     }
   }
 
-  // Execute the whole pipelined run, chunked so one read() can't hold the
-  // request lock arbitrarily long.
-  for (size_t i = 0; i < commands.size(); i += options_.max_batch_commands) {
-    const size_t end =
-        std::min(commands.size(), i + options_.max_batch_commands);
-    const std::vector<NetCommand> chunk(commands.begin() + i,
-                                        commands.begin() + end);
-    dispatcher_.ExecuteBatch(chunk, &conn.outbuf, received_ns);
+  // Execute the whole pipelined run in place, chunked so one read() can't
+  // hold the request lock arbitrarily long.
+  const std::span<const NetCommand> run(commands);
+  for (size_t i = 0; i < run.size(); i += options_.max_batch_commands) {
+    dispatcher_.ExecuteBatch(
+        run.subspan(i, std::min(options_.max_batch_commands, run.size() - i)),
+        &conn.outbuf, received_ns);
   }
 
   if (eof) {

@@ -1,6 +1,7 @@
 #include "obs/reqtrace.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -33,29 +34,27 @@ size_t RoundUpPow2(size_t v) {
   return p;
 }
 
-// One-entry thread-local ring cache (flight-recorder idiom): the common
-// case is every commit landing in the global plane, so the locked registry
-// path runs once per thread per plane. Plane ids are never reused.
-struct TlsRingCache {
-  uint64_t plane_id = 0;
-  void* ring = nullptr;
-};
-thread_local TlsRingCache tls_ring_cache;
-
-// A command being executed right now on this thread (stage accumulation
-// happens here, lock-free, before the trace is ever shared).
-struct PendingCommand {
-  RequestTrace trace;
+// One command's raw stamps, appended under the request lock; FlushReplies
+// turns them into a RequestTrace.
+struct RawCommand {
+  uint64_t trace_id = 0;  // as received; 0 = drawn when the trace commits
+  int64_t origin_ns = 0;
   int64_t begin_ns = 0;
   int64_t end_ns = 0;
-  int64_t section_accum_ns = 0;
-  int64_t section_start_ns = 0;
-  int section_depth = 0;
+  int64_t section_ns = 0;  // closed outermost-section time; 0 = none
+  int64_t flush_ns = 0;
+  int64_t drain_ns = 0;
+  uint32_t batch = 0;  // index into ThreadState::batches
+  uint8_t op = 0;
+  bool faulted = false;
 };
 
-// Executed but unreplied: EndBatch parked it here, FlushReplies finalizes.
-struct AwaitingTrace {
-  RequestTrace trace;
+// One closed batch's marks, as EndBatch received them.
+struct BatchMarks {
+  int64_t received_ns = 0;
+  int64_t lock_start_ns = 0;
+  int64_t lock_end_ns = 0;
+  int64_t exec_done_ns = 0;
   int64_t close_done_ns = 0;
 };
 
@@ -64,10 +63,18 @@ struct AwaitingTrace {
 struct ThreadState {
   uint64_t plane_id = 0;
   bool batch_active = false;
-  int64_t batch_received_ns = 0;
-  std::vector<PendingCommand> batch;
-  int active = -1;  // index into `batch` of the executing command
-  std::vector<AwaitingTrace> awaiting;
+  int64_t received_ns = 0;  // the open batch's receipt
+  // Index into `commands` of the executing command; -1 whenever no batch
+  // is open, so HasActiveCommand is one load.
+  int active = -1;
+  // The active command's outermost section (depth-collapsed re-entry).
+  int section_depth = 0;
+  int64_t section_start_ns = 0;
+  // The commands of the closed batches in `batches`, then those of the
+  // open batch from `open_first` on (== size() while no batch is open).
+  std::vector<RawCommand> commands;
+  size_t open_first = 0;
+  std::vector<BatchMarks> batches;
 };
 thread_local ThreadState tls_state;
 
@@ -122,7 +129,8 @@ void RequestTracePlane::InstallOpNamer(const char* (*namer)(uint8_t)) {
 
 RequestTracePlane::RequestTracePlane(size_t ring_capacity)
     : capacity_(RoundUpPow2(std::max<size_t>(ring_capacity, 2))),
-      plane_id_(NextPlaneId()) {
+      plane_id_(NextPlaneId()),
+      pool_(std::make_shared<RingPool>()) {
   reservoir_.reserve(kReservoirCapacity);
 }
 
@@ -135,35 +143,66 @@ RequestTracePlane& RequestTracePlane::Global() {
   return *plane;
 }
 
-RequestTracePlane::Ring* RequestTracePlane::LocalRing() {
-  if (tls_ring_cache.plane_id == plane_id_) {
-    return static_cast<Ring*>(tls_ring_cache.ring);
+void RequestTracePlane::RingLease::Release() {
+  if (ring == nullptr) {
+    return;
   }
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  rings_.push_back(std::make_unique<Ring>(capacity_, ThisThreadId()));
-  Ring* ring = rings_.back().get();
-  tls_ring_cache = TlsRingCache{plane_id_, ring};
+  // An expired pool means the plane is gone, and its rings with it.
+  if (const std::shared_ptr<RingPool> live = pool.lock()) {
+    std::lock_guard<std::mutex> lock(live->mutex);
+    live->free.push_back(ring);
+  }
+  ring = nullptr;
+  plane_id = 0;
+  pool.reset();
+}
+
+RequestTracePlane::Ring* RequestTracePlane::LocalRing() {
+  thread_local RingLease lease;
+  if (lease.plane_id == plane_id_) {
+    return lease.ring;
+  }
+  lease.Release();
+  Ring* ring = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(pool_->mutex);
+    if (!pool_->free.empty()) {
+      ring = pool_->free.back();
+      pool_->free.pop_back();
+      ring->tid = ThisThreadId();
+    } else {
+      pool_->rings.push_back(std::make_unique<Ring>(capacity_, ThisThreadId()));
+      ring = pool_->rings.back().get();
+    }
+  }
+  lease.plane_id = plane_id_;
+  lease.ring = ring;
+  lease.pool = pool_;
   return ring;
 }
 
-void RequestTracePlane::BeginBatch(int64_t received_ns) {
+bool RequestTracePlane::BeginBatch(int64_t received_ns) {
   ThreadState& st = tls_state;
   if (!enabled()) {
+    st.commands.resize(st.open_first);  // an abandoned open batch
     st.batch_active = false;
-    return;
+    st.active = -1;
+    return false;
   }
   if (st.plane_id != plane_id_) {
     // First batch on this thread for this plane (or a test rebound the
     // thread to a fresh local plane): drop state owed to the old one.
-    st.batch.clear();
-    st.awaiting.clear();
-    st.active = -1;
+    st.commands.clear();
+    st.open_first = 0;
+    st.batches.clear();
     st.plane_id = plane_id_;
   }
+  st.commands.resize(st.open_first);
+  st.open_first = st.commands.size();
   st.batch_active = true;
-  st.batch_received_ns = received_ns;
-  st.batch.clear();
+  st.received_ns = received_ns;
   st.active = -1;
+  return true;
 }
 
 void RequestTracePlane::BeginCommand(uint64_t trace_id, int64_t origin_ns,
@@ -172,27 +211,28 @@ void RequestTracePlane::BeginCommand(uint64_t trace_id, int64_t origin_ns,
   if (!st.batch_active) {
     return;
   }
-  PendingCommand cmd;
-  cmd.trace.trace_id = trace_id != 0 ? trace_id : NextServerTraceId();
-  cmd.trace.origin_ns = origin_ns;
-  cmd.trace.op = op;
+  RawCommand& cmd = st.commands.emplace_back();
+  cmd.trace_id = trace_id;
+  cmd.origin_ns = origin_ns;
   cmd.begin_ns = now_ns;
-  st.batch.push_back(std::move(cmd));
-  st.active = static_cast<int>(st.batch.size()) - 1;
+  cmd.batch = static_cast<uint32_t>(st.batches.size());
+  cmd.op = op;
+  st.active = static_cast<int>(st.commands.size()) - 1;
+  st.section_depth = 0;
 }
 
 void RequestTracePlane::EndCommand(int64_t now_ns, bool faulted) {
   ThreadState& st = tls_state;
-  if (!st.batch_active || st.active < 0) {
+  if (st.active < 0) {
     return;
   }
-  PendingCommand& cmd = st.batch[static_cast<size_t>(st.active)];
+  RawCommand& cmd = st.commands[static_cast<size_t>(st.active)];
   cmd.end_ns = now_ns;
-  cmd.trace.faulted = faulted;
-  if (cmd.section_depth > 0) {
+  cmd.faulted = faulted;
+  if (st.section_depth > 0) {
     // A fault unwound past the section exit; close the span here.
-    cmd.section_accum_ns += now_ns - cmd.section_start_ns;
-    cmd.section_depth = 0;
+    cmd.section_ns += now_ns - st.section_start_ns;
+    st.section_depth = 0;
   }
   st.active = -1;
 }
@@ -203,105 +243,123 @@ void RequestTracePlane::EndBatch(int64_t lock_start_ns, int64_t lock_end_ns,
   if (!st.batch_active) {
     return;
   }
-  // Every command of the batch waited for the one lock acquisition and for
-  // the one batch-close drain/commit — both are genuinely part of each
-  // request's wall time, so each is charged in full, not amortized.
-  const int64_t lock_wait = std::max<int64_t>(0, lock_end_ns - lock_start_ns);
-  const int64_t close_window =
-      std::max<int64_t>(0, close_done_ns - exec_done_ns);
-  for (PendingCommand& cmd : st.batch) {
-    RequestTrace& t = cmd.trace;
-    t.start_ns = st.batch_received_ns;
-    if (t.origin_ns > 0 && t.origin_ns <= t.start_ns) {
-      t.stage_ns[static_cast<size_t>(ReqStage::kClientWait)] =
-          t.start_ns - t.origin_ns;
-    } else if (t.origin_ns > t.start_ns) {
-      t.origin_ns = 0;  // client clock ahead of receipt: fall back to server span
-    }
-    t.stage_ns[static_cast<size_t>(ReqStage::kLockWait)] += lock_wait;
-    const int64_t handle = std::max<int64_t>(0, cmd.end_ns - cmd.begin_ns);
-    // The section span is the handle span when no substrate section hook
-    // fired (the net path runs one batch-level section, entered before any
-    // command is active); flush/drain recorded by the device hooks are
-    // carved out so the three stages stay disjoint.
-    const int64_t basis = cmd.section_accum_ns > 0
-                              ? std::min(cmd.section_accum_ns, handle)
-                              : handle;
-    const int64_t carved =
-        t.stage_ns[static_cast<size_t>(ReqStage::kFlush)] +
-        t.stage_ns[static_cast<size_t>(ReqStage::kDrain)];
-    t.stage_ns[static_cast<size_t>(ReqStage::kSection)] +=
-        std::max<int64_t>(0, basis - carved);
-    t.stage_ns[static_cast<size_t>(ReqStage::kDrain)] += close_window;
-    st.awaiting.push_back(AwaitingTrace{t, close_done_ns});
-  }
-  st.batch.clear();
+  st.batches.push_back(BatchMarks{st.received_ns, lock_start_ns, lock_end_ns,
+                                  exec_done_ns, close_done_ns});
+  st.open_first = st.commands.size();
   st.active = -1;
   st.batch_active = false;
 }
 
 void RequestTracePlane::FlushReplies(int64_t now_ns) {
-  ThreadState& st = tls_state;
-  if (st.plane_id != plane_id_ || st.awaiting.empty()) {
-    return;
+  const ThreadState& st = tls_state;
+  if (st.plane_id == plane_id_ && st.open_first > 0) {
+    BuildAndCommit(now_ns);
   }
-  for (AwaitingTrace& a : st.awaiting) {
-    RequestTrace& t = a.trace;
+}
+
+void RequestTracePlane::FlushRepliesNow() {
+  const ThreadState& st = tls_state;
+  if (st.plane_id == plane_id_ && st.open_first > 0) {
+    BuildAndCommit(NowNanos());
+  }
+}
+
+void RequestTracePlane::BuildAndCommit(int64_t now_ns) {
+  ThreadState& st = tls_state;
+  const size_t count = st.open_first;
+  for (size_t i = 0; i < count; i++) {
+    const RawCommand& cmd = st.commands[i];
+    const BatchMarks& marks = st.batches[cmd.batch];
+    RequestTrace t;
+    t.trace_id = cmd.trace_id != 0 ? cmd.trace_id : NextServerTraceId();
+    t.origin_ns = cmd.origin_ns;
+    t.op = cmd.op;
+    t.faulted = cmd.faulted;
+    t.start_ns = marks.received_ns;
     t.end_ns = now_ns;
-    t.stage_ns[static_cast<size_t>(ReqStage::kReplyWrite)] +=
-        std::max<int64_t>(0, now_ns - a.close_done_ns);
+    int64_t* stage = t.stage_ns;
+    if (t.origin_ns > 0 && t.origin_ns <= t.start_ns) {
+      stage[static_cast<size_t>(ReqStage::kClientWait)] =
+          t.start_ns - t.origin_ns;
+    } else if (t.origin_ns > t.start_ns) {
+      // Client clock ahead of receipt: fall back to the server span.
+      t.origin_ns = 0;
+    }
+    // Every command of the batch waited for the one lock acquisition and
+    // for the one batch-close drain/commit — both are genuinely part of
+    // each request's wall time, so each is charged in full, not amortized.
+    stage[static_cast<size_t>(ReqStage::kLockWait)] =
+        std::max<int64_t>(0, marks.lock_end_ns - marks.lock_start_ns);
+    // The section span is the command span unless a substrate section
+    // opened inside the command (on the net path the batch's one section
+    // opens before any command, so the command span is the basis).
+    // Flush/drain recorded by the device hooks are carved out so the three
+    // stages stay disjoint.
+    const int64_t handle = std::max<int64_t>(0, cmd.end_ns - cmd.begin_ns);
+    const int64_t basis =
+        cmd.section_ns > 0 ? std::min(cmd.section_ns, handle) : handle;
+    stage[static_cast<size_t>(ReqStage::kFlush)] = cmd.flush_ns;
+    stage[static_cast<size_t>(ReqStage::kSection)] =
+        std::max<int64_t>(0, basis - cmd.flush_ns - cmd.drain_ns);
+    stage[static_cast<size_t>(ReqStage::kDrain)] =
+        cmd.drain_ns +
+        std::max<int64_t>(0, marks.close_done_ns - marks.exec_done_ns);
+    stage[static_cast<size_t>(ReqStage::kReplyWrite)] =
+        std::max<int64_t>(0, now_ns - marks.close_done_ns);
     // Batch wait is the residual of the server span over every stage that
     // was measured directly, so the breakdown closes exactly: parse time,
     // time queued behind batchmates in the same read(), and any clock
     // jitter all land here instead of silently leaking.
     int64_t known = 0;
-    for (size_t i = 0; i < kReqStageCount; i++) {
-      if (i != static_cast<size_t>(ReqStage::kClientWait) &&
-          i != static_cast<size_t>(ReqStage::kBatchWait)) {
-        known += t.stage_ns[i];
+    for (size_t s = 0; s < kReqStageCount; s++) {
+      if (s != static_cast<size_t>(ReqStage::kClientWait) &&
+          s != static_cast<size_t>(ReqStage::kBatchWait)) {
+        known += stage[s];
       }
     }
-    t.stage_ns[static_cast<size_t>(ReqStage::kBatchWait)] =
+    stage[static_cast<size_t>(ReqStage::kBatchWait)] =
         std::max<int64_t>(0, t.TotalNs() - known);
     ApplyMitigationSpans(t);
     Commit(t);
   }
-  st.awaiting.clear();
+  // What is left belongs to a batch still open (FlushReplies between its
+  // BeginBatch and EndBatch), which becomes batch 0.
+  st.commands.erase(st.commands.begin(),
+                    st.commands.begin() + static_cast<ptrdiff_t>(count));
+  for (RawCommand& cmd : st.commands) {
+    cmd.batch = 0;
+  }
+  if (st.active >= 0) {
+    st.active -= static_cast<int>(count);
+  }
+  st.open_first = 0;
+  st.batches.clear();
 }
 
 void RequestTracePlane::AddActiveStage(ReqStage stage, int64_t dur_ns) {
+  assert(stage == ReqStage::kFlush || stage == ReqStage::kDrain);
   ThreadState& st = tls_state;
-  if (!st.batch_active || st.active < 0 || dur_ns <= 0) {
+  if (st.active < 0 || dur_ns <= 0) {
     return;
   }
-  st.batch[static_cast<size_t>(st.active)]
-      .trace.stage_ns[static_cast<size_t>(stage)] += dur_ns;
+  RawCommand& cmd = st.commands[static_cast<size_t>(st.active)];
+  (stage == ReqStage::kDrain ? cmd.drain_ns : cmd.flush_ns) += dur_ns;
 }
 
-bool RequestTracePlane::HasActiveCommand() {
-  const ThreadState& st = tls_state;
-  return st.batch_active && st.active >= 0;
-}
+bool RequestTracePlane::HasActiveCommand() { return tls_state.active >= 0; }
 
 void RequestTracePlane::SectionEnter(int64_t now_ns) {
   ThreadState& st = tls_state;
-  if (!st.batch_active || st.active < 0) {
-    return;
-  }
-  PendingCommand& cmd = st.batch[static_cast<size_t>(st.active)];
-  if (cmd.section_depth++ == 0) {
-    cmd.section_start_ns = now_ns;
+  if (st.active >= 0 && st.section_depth++ == 0) {
+    st.section_start_ns = now_ns;
   }
 }
 
 void RequestTracePlane::SectionExit(int64_t now_ns) {
   ThreadState& st = tls_state;
-  if (!st.batch_active || st.active < 0) {
-    return;
-  }
-  PendingCommand& cmd = st.batch[static_cast<size_t>(st.active)];
-  if (cmd.section_depth > 0 && --cmd.section_depth == 0) {
-    cmd.section_accum_ns += now_ns - cmd.section_start_ns;
+  if (st.active >= 0 && st.section_depth > 0 && --st.section_depth == 0) {
+    st.commands[static_cast<size_t>(st.active)].section_ns +=
+        now_ns - st.section_start_ns;
   }
 }
 
@@ -426,8 +484,8 @@ void RequestTracePlane::OfferReservoir(const RequestTrace& t) {
 std::vector<RequestTrace> RequestTracePlane::SnapshotRings() const {
   std::vector<RequestTrace> out;
   {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (const auto& ring : rings_) {
+    std::lock_guard<std::mutex> lock(pool_->mutex);
+    for (const auto& ring : pool_->rings) {
       const uint64_t head = ring->head.load(std::memory_order_acquire);
       const uint64_t n = std::min<uint64_t>(head, capacity_);
       out.reserve(out.size() + n);
@@ -470,8 +528,8 @@ bool RequestTracePlane::FindTrace(uint64_t trace_id, RequestTrace* out) const {
       }
     }
   }
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const auto& ring : rings_) {
+  std::lock_guard<std::mutex> lock(pool_->mutex);
+  for (const auto& ring : pool_->rings) {
     const uint64_t head = ring->head.load(std::memory_order_acquire);
     const uint64_t n = std::min<uint64_t>(head, capacity_);
     // Newest first: a reused client id should answer with its latest trip.
@@ -488,8 +546,8 @@ bool RequestTracePlane::FindTrace(uint64_t trace_id, RequestTrace* out) const {
 
 uint64_t RequestTracePlane::dropped() const {
   uint64_t dropped = 0;
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const auto& ring : rings_) {
+  std::lock_guard<std::mutex> lock(pool_->mutex);
+  for (const auto& ring : pool_->rings) {
     const uint64_t head = ring->head.load(std::memory_order_acquire);
     if (head > capacity_) {
       dropped += head - capacity_;
@@ -500,8 +558,8 @@ uint64_t RequestTracePlane::dropped() const {
 
 void RequestTracePlane::Clear() {
   {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (const auto& ring : rings_) {
+    std::lock_guard<std::mutex> lock(pool_->mutex);
+    for (const auto& ring : pool_->rings) {
       ring->head.store(0, std::memory_order_relaxed);
     }
     next_seq_.store(1, std::memory_order_relaxed);

@@ -15,29 +15,51 @@
 // idiom.
 //
 // Design constraints, in order:
-//   * always-on: the record path is lock-free and CAS-free (thread-local
-//     accumulation; one relaxed fetch_add at commit; reservoir admission is
-//     a relaxed threshold check that only takes a lock for genuine top-K
-//     candidates),
+//   * always-on: under the request lock the record path only appends raw
+//     stamps to thread-local vectors; every trace is built, and the one
+//     relaxed fetch_add per commit paid, after the lock (reservoir
+//     admission is a relaxed threshold check that only takes a lock for
+//     genuine top-K candidates),
 //   * closed accounting: per trace, the stage nanoseconds sum EXACTLY to
 //     end_ns - start_ns (server span) plus client wait (origin -> receipt)
 //     when a context was propagated — batch wait is the residual, so clock
 //     jitter cannot leak time out of the breakdown (check_tailtrace_schema
 //     gates >= 90% closure in CI and this construction makes it ~100%),
-//   * bounded memory: fixed-size rings per thread + one fixed top-K
+//   * bounded memory: fixed-size rings per live thread + one fixed top-K
 //     reservoir of slowest requests,
 //   * the ARTHAS_REQTRACE_* macros compile out under ARTHAS_OBS_DISABLED;
 //     the classes stay linkable either way (obs/obs.h discipline).
 //
-// Lifecycle, driven by NetDispatcher::ExecuteBatch on the loop thread:
+// Lifecycle, driven by NetDispatcher::ExecuteBatch on the loop thread.
+// Everything up to EndBatch runs under the request lock and records only
+// raw stamps: per command the id as received, origin, op, begin/end and
+// the flush/drain sums; per batch the receipt, lock, exec-done and close
+// marks. FlushReplies runs after the socket write, outside the lock: it
+// draws server ids for commands that arrived without one, computes the
+// nine stages and commits each trace to the ring, the reservoir and the
+// net.req.* histograms.
 //
-//   BeginBatch(received_ns)          read() returned; parse follows
-//     BeginCommand(id, origin, op)   per pipelined command, in order
-//       AddActiveStage(...)          flush/drain device hooks, sections
-//     EndCommand(faulted)
-//   EndBatch(lock span, exec/close)  batch-close drain charged to kDrain
-//   FlushReplies(now)                reply bytes handed to the socket;
-//                                    traces finalize and commit to rings
+//   BeginBatch(received_ns)              read() returned; parse follows
+//     BeginCommand(id, origin, op, t0)   per pipelined command, in order
+//       AddActiveStage(flush|drain, ns)  device hooks
+//       SectionEnter/Exit(t)             outermost substrate section only
+//     EndCommand(t1, faulted)            t1 is also the next command's t0
+//   EndBatch(lock span, exec/close)      the batch's marks
+//   FlushReplies(now)                    build, then commit
+//
+// Clock reads. A hook reads the clock only once the plane will use the
+// value: enabled, a batch open and a command active. A GET served over the
+// socket costs one read per command (its end, which is the next command's
+// begin), four per batch (lock start and end, first command begin, batch
+// close) and two per read() (receipt, reply flush). A plane disabled with
+// set_enabled(false) reads no clock.
+//
+// Rings. A thread holds at most one ring, taken from the plane it commits
+// to. When the thread exits (or commits to another plane), the ring goes
+// back to its plane, if that plane still exists, and the next thread that
+// needs a ring takes it; the old traces stay readable until they are
+// overwritten. So a process that starts and stops servers holds as many
+// rings as it ever had committing threads alive at once.
 //
 // Mitigation windows (MarkMitigationBegin / MarkDetectorFired /
 // MarkMitigationEnd) reassign the overlap of a request's queueing time with
@@ -66,7 +88,8 @@ enum class ReqStage : uint8_t {
   kClientWait = 0,  // scheduled arrival (client clock) -> server read()
   kBatchWait,       // parse + queued behind batchmates in the same read
   kLockWait,        // request_mutex acquisition
-  kSection,         // in-section execution minus flush/drain
+  kSection,         // command span minus flush/drain; a substrate section
+                    // opened inside the command bounds it
   kFlush,           // cache-line flush staging (clwb)
   kDrain,           // drains: in-request + batch-close + substrate commit
   kReplyWrite,      // batch close -> reply bytes handed to the socket
@@ -129,6 +152,9 @@ class RequestTracePlane {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
+  // A timestamp for this plane: NowNanos() while enabled, else 0 (no read).
+  int64_t Now() const { return enabled() ? NowNanos() : 0; }
+
   // Fresh id for a request that arrived without a propagated context.
   uint64_t NextServerTraceId() {
     return kServerIdBase + next_server_id_.fetch_add(1, std::memory_order_relaxed);
@@ -137,20 +163,31 @@ class RequestTracePlane {
   // --- batch lifecycle (loop thread; timestamps passed in so tests are
   // deterministic — the macros capture NowNanos() at the call site) -------
 
-  void BeginBatch(int64_t received_ns);
-  // trace_id == 0 means "assign one server-side".
-  void BeginCommand(uint64_t trace_id, int64_t origin_ns, uint8_t op,
-                    int64_t now_ns);
-  void EndCommand(int64_t now_ns, bool faulted);
-  void EndBatch(int64_t lock_start_ns, int64_t lock_end_ns,
-                int64_t exec_done_ns, int64_t close_done_ns);
-  // Replies handed to the socket: finalizes every trace EndBatch queued
-  // (across several pipelined chunks of one read) and commits them.
+  // Opens a batch on this thread and binds the thread to this plane.
+  // Returns false, and opens nothing, when the plane is disabled: the
+  // caller then reads no clock for the batch. A batch still open on this
+  // thread is abandoned and its commands dropped.
+  bool BeginBatch(int64_t received_ns);
+  // The rest of the batch lifecycle only appends to this thread's open
+  // batch (no-ops without one). trace_id == 0 means "assign one
+  // server-side" (drawn when the trace commits).
+  static void BeginCommand(uint64_t trace_id, int64_t origin_ns, uint8_t op,
+                           int64_t now_ns);
+  static void EndCommand(int64_t now_ns, bool faulted);
+  static void EndBatch(int64_t lock_start_ns, int64_t lock_end_ns,
+                       int64_t exec_done_ns, int64_t close_done_ns);
+  // Replies handed to the socket: builds a trace for every command of the
+  // batches EndBatch closed on this thread (across several pipelined
+  // chunks of one read) and commits them.
   void FlushReplies(int64_t now_ns);
+  // FlushReplies(NowNanos()), reading the clock only when a closed batch
+  // awaits its reply.
+  void FlushRepliesNow();
 
   // --- deep hooks (thread-local; no-ops without an active command) -------
 
-  // Adds `dur_ns` to `stage` of the command executing on this thread.
+  // Adds `dur_ns` to `stage` (kFlush or kDrain, the only stages measured
+  // inside a command) of the command executing on this thread.
   static void AddActiveStage(ReqStage stage, int64_t dur_ns);
   static bool HasActiveCommand();
   // Substrate section boundaries (depth-collapsed re-entry).
@@ -201,10 +238,34 @@ class RequestTracePlane {
     Ring(size_t capacity, uint16_t tid) : records(capacity), tid(tid) {}
     std::vector<RequestTrace> records;
     std::atomic<uint64_t> head{0};  // release store pairs with Snapshot
-    uint16_t tid;
+    uint16_t tid;  // the thread committing into it; set when taken
+  };
+  // Every ring the plane made, and those whose thread gave them back.
+  // Shared with the threads' leases so that a thread exiting after the
+  // plane is gone finds it expired instead of touching freed memory.
+  struct RingPool {
+    std::mutex mutex;
+    std::vector<std::unique_ptr<Ring>> rings;
+    std::vector<Ring*> free;
+  };
+  // This thread's ring, bound to one plane at a time. Handed back to that
+  // plane's pool when the thread exits or commits to another plane.
+  struct RingLease {
+    RingLease() = default;
+    RingLease(const RingLease&) = delete;
+    RingLease& operator=(const RingLease&) = delete;
+    ~RingLease() { Release(); }
+    void Release();
+
+    uint64_t plane_id = 0;
+    Ring* ring = nullptr;
+    std::weak_ptr<RingPool> pool;
   };
 
   Ring* LocalRing();
+  // Builds the commands of this thread's closed batches into traces and
+  // commits them.
+  void BuildAndCommit(int64_t now_ns);
   void Commit(RequestTrace& trace);
   void OfferReservoir(const RequestTrace& trace);
   void ApplyMitigationSpans(RequestTrace& trace) const;
@@ -220,8 +281,7 @@ class RequestTracePlane {
   std::atomic<int64_t> detector_fired_ns_{0};
   std::atomic<int64_t> mitigation_end_ns_{0};
 
-  mutable std::mutex registry_mutex_;
-  std::vector<std::unique_ptr<Ring>> rings_;
+  const std::shared_ptr<RingPool> pool_;
 
   // Min-heap on EndToEndNs in reservoir_[0]; threshold_ns_ caches the heap
   // root so the common case (not a top-K candidate) never locks.
@@ -265,28 +325,41 @@ class ReqTraceStageScope {
 
 #ifndef ARTHAS_OBS_DISABLED
 
-#define ARTHAS_REQTRACE_NOW() ::arthas::NowNanos()
+// NOW() is 0 while the global plane is disabled. BATCH_BEGIN yields
+// whether the batch is traced; NOW_IF(traced) then reads the clock only for
+// a traced batch, so a disabled plane reads none on the per-command path.
+#define ARTHAS_REQTRACE_NOW() \
+  ::arthas::obs::RequestTracePlane::Global().Now()
+#define ARTHAS_REQTRACE_NOW_IF(traced) \
+  ((traced) ? ::arthas::NowNanos() : static_cast<int64_t>(0))
 #define ARTHAS_REQTRACE_BATCH_BEGIN(received_ns) \
   ::arthas::obs::RequestTracePlane::Global().BeginBatch(received_ns)
-#define ARTHAS_REQTRACE_COMMAND_BEGIN(id, origin_ns, op)          \
-  ::arthas::obs::RequestTracePlane::Global().BeginCommand(        \
-      (id), (origin_ns), static_cast<uint8_t>(op), ::arthas::NowNanos())
-#define ARTHAS_REQTRACE_COMMAND_END(faulted)                      \
-  ::arthas::obs::RequestTracePlane::Global().EndCommand(          \
-      ::arthas::NowNanos(), (faulted))
+#define ARTHAS_REQTRACE_COMMAND_BEGIN(id, origin_ns, op, now_ns)       \
+  ::arthas::obs::RequestTracePlane::BeginCommand(                      \
+      (id), (origin_ns), static_cast<uint8_t>(op), (now_ns))
+#define ARTHAS_REQTRACE_COMMAND_END(now_ns, faulted) \
+  ::arthas::obs::RequestTracePlane::EndCommand((now_ns), (faulted))
 #define ARTHAS_REQTRACE_BATCH_END(lock_start, lock_end, exec_done, \
                                   close_done)                      \
-  ::arthas::obs::RequestTracePlane::Global().EndBatch(             \
+  ::arthas::obs::RequestTracePlane::EndBatch(                      \
       (lock_start), (lock_end), (exec_done), (close_done))
 #define ARTHAS_REQTRACE_REPLY_FLUSHED() \
-  ::arthas::obs::RequestTracePlane::Global().FlushReplies(::arthas::NowNanos())
+  ::arthas::obs::RequestTracePlane::Global().FlushRepliesNow()
 #define ARTHAS_REQTRACE_STAGE(stage)                                   \
   ::arthas::obs::ReqTraceStageScope ARTHAS_OBS_CONCAT(_arthas_reqtr_, \
                                                       __LINE__)(stage)
-#define ARTHAS_REQTRACE_SECTION_ENTER() \
-  ::arthas::obs::RequestTracePlane::SectionEnter(::arthas::NowNanos())
-#define ARTHAS_REQTRACE_SECTION_EXIT() \
-  ::arthas::obs::RequestTracePlane::SectionExit(::arthas::NowNanos())
+#define ARTHAS_REQTRACE_SECTION_ENTER()                                   \
+  do {                                                                    \
+    if (::arthas::obs::RequestTracePlane::HasActiveCommand()) {           \
+      ::arthas::obs::RequestTracePlane::SectionEnter(::arthas::NowNanos()); \
+    }                                                                     \
+  } while (0)
+#define ARTHAS_REQTRACE_SECTION_EXIT()                                   \
+  do {                                                                   \
+    if (::arthas::obs::RequestTracePlane::HasActiveCommand()) {          \
+      ::arthas::obs::RequestTracePlane::SectionExit(::arthas::NowNanos()); \
+    }                                                                    \
+  } while (0)
 #define ARTHAS_REQTRACE_MITIGATION_BEGIN()                          \
   ::arthas::obs::RequestTracePlane::Global().MarkMitigationBegin(   \
       ::arthas::NowNanos())
@@ -297,17 +370,19 @@ class ReqTraceStageScope {
 #else  // ARTHAS_OBS_DISABLED
 
 #define ARTHAS_REQTRACE_NOW() (static_cast<int64_t>(0))
+#define ARTHAS_REQTRACE_NOW_IF(traced) \
+  (static_cast<void>(traced), static_cast<int64_t>(0))
 #define ARTHAS_REQTRACE_BATCH_BEGIN(received_ns) \
-  do {                                           \
-    (void)sizeof(received_ns);                   \
+  (static_cast<void>(sizeof(received_ns)), false)
+#define ARTHAS_REQTRACE_COMMAND_BEGIN(id, origin_ns, op, now_ns) \
+  do {                                                           \
+    (void)sizeof(id);                                            \
+    (void)sizeof(now_ns);                                        \
   } while (0)
-#define ARTHAS_REQTRACE_COMMAND_BEGIN(id, origin_ns, op) \
-  do {                                                   \
-    (void)sizeof(id);                                    \
-  } while (0)
-#define ARTHAS_REQTRACE_COMMAND_END(faulted) \
-  do {                                       \
-    (void)sizeof(faulted);                   \
+#define ARTHAS_REQTRACE_COMMAND_END(now_ns, faulted) \
+  do {                                               \
+    (void)sizeof(now_ns);                            \
+    (void)sizeof(faulted);                           \
   } while (0)
 #define ARTHAS_REQTRACE_BATCH_END(lock_start, lock_end, exec_done, \
                                   close_done)                      \

@@ -39,12 +39,14 @@ SectionFrame* FrameFor(PmSystemTarget* system) {
 }  // namespace
 
 void PmSystemTarget::EnterSection() {
-  // Request-trace section boundary (the plane collapses re-entrant depth).
-  ARTHAS_REQTRACE_SECTION_ENTER();
   if (SectionFrame* frame = FrameFor(this)) {
     frame->depth++;
     return;
   }
+  // The trace plane is stamped only where the substrate section really
+  // opens and closes: a nested scope (Handle() inside the dispatcher's
+  // batch section) costs it nothing.
+  ARTHAS_REQTRACE_SECTION_ENTER();
   SectionFrame frame{this, 1, 0, false};
   if (ConsistencySubstrate* sub = substrate()) {
     frame.id = sub->NextSectionId();
@@ -54,7 +56,6 @@ void PmSystemTarget::EnterSection() {
 }
 
 void PmSystemTarget::ExitSection() {
-  ARTHAS_REQTRACE_SECTION_EXIT();
   for (auto it = section_frames.rbegin(); it != section_frames.rend(); ++it) {
     if (it->system != this) {
       continue;
@@ -62,6 +63,7 @@ void PmSystemTarget::ExitSection() {
     if (--it->depth > 0) {
       return;
     }
+    ARTHAS_REQTRACE_SECTION_EXIT();
     const SectionFrame frame = *it;
     section_frames.erase(std::next(it).base());
     if (frame.id != 0) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "common/clock.h"
 
 #include "gtest/gtest.h"
+#include "obs/reqtrace.h"
 #include "obs/resource/resource_accountant.h"
 #include "obs/resource/slo_tracker.h"
 #include "obs/timeseries.h"
@@ -190,6 +192,64 @@ TEST(NetServerTest, PipeliningPreservesReplyOrder) {
   server.Stop();
 }
 
+TEST(NetServerTest, PipelinedRunExecutesInChunks) {
+  // One write of 10 commands against max_batch_commands = 4: the read runs
+  // as chunks of at most 4 commands, each its own batch, executed in place.
+  MemcachedMini mc;
+  NetDispatcher dispatcher(mc, /*reactor=*/nullptr);
+  NetServerOptions options;
+  options.loop_threads = 1;
+  options.max_batch_commands = 4;
+  NetServer server(dispatcher, options);
+  ASSERT_TRUE(server.Start().ok());
+  obs::RequestTracePlane& plane = obs::RequestTracePlane::Global();
+  const uint64_t traced_before = plane.total_traced();
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  // SETs and GETs interleaved so that most GETs read a key set in an
+  // earlier chunk, and key 1 is overwritten before its last read.
+  const char* const kLines[] = {
+      "SET k0 a0", "SET k1 a1", "GET k0",    "SET k2 a2", "GET k1",
+      "SET k1 b1", "GET k2",    "GET k1",    "SET k3 a3", "GET k3"};
+  const char* const kWant[] = {"OK", "OK", "a0", "OK", "a1",
+                               "OK", "a2", "b1", "OK", "a3"};
+  std::string bytes;
+  for (const char* line : kLines) {
+    bytes += std::string(line) + "\n";
+  }
+  ASSERT_TRUE(client.Send(bytes));
+  const std::vector<NetReply> replies = client.ReadReplies(10);
+  ASSERT_EQ(replies.size(), 10u);
+  for (size_t i = 0; i < 10; i++) {
+    EXPECT_EQ(replies[i].text, kWant[i]) << kLines[i];
+  }
+  // Stop joins the loop thread, which commits the traces after its write.
+  server.Stop();
+  EXPECT_FALSE(mc.last_fault().has_value());
+
+#ifndef ARTHAS_OBS_DISABLED
+  EXPECT_EQ(plane.total_traced() - traced_before, 10u);
+  std::vector<obs::RequestTrace> traces = plane.SnapshotRings();
+  traces.erase(std::remove_if(traces.begin(), traces.end(),
+                              [&](const obs::RequestTrace& t) {
+                                return t.seq <= traced_before;
+                              }),
+               traces.end());
+  ASSERT_EQ(traces.size(), 10u);
+  for (size_t i = 0; i < traces.size(); i++) {
+    const obs::RequestTrace& t = traces[i];
+    EXPECT_EQ(t.StageSumNs(), t.EndToEndNs()) << kLines[i];
+    EXPECT_GE(t.trace_id, obs::RequestTracePlane::kServerIdBase);
+    EXPECT_EQ(t.op, static_cast<uint8_t>(kLines[i][0] == 'S' ? NetOp::kSet
+                                                              : NetOp::kGet))
+        << kLines[i];
+  }
+#else
+  (void)traced_before;
+#endif
+}
+
 // The perf path must not change semantics: a pipelined run executed as one
 // batched-persist batch leaves the same replies and a bit-identical durable
 // image as the same commands executed one-by-one with per-store persists
@@ -238,7 +298,7 @@ TEST(NetDispatcherTest, BatchedPipelineMatchesUnpipelinedDurableImage) {
   NetDispatcher plain(plain_mc, nullptr, plain_options);
   std::string plain_replies;
   for (const NetCommand& command : commands) {
-    plain.ExecuteBatch({command}, &plain_replies);
+    plain.ExecuteBatch(std::span(&command, 1), &plain_replies);
   }
 
   EXPECT_EQ(batched_replies, plain_replies);

@@ -111,12 +111,14 @@ TEST(ObsDisabledTest, ReqTraceMacrosAreNoOps) {
       obs::RequestTracePlane::Global().total_traced();
   const int64_t now = ARTHAS_REQTRACE_NOW();
   EXPECT_EQ(now, 0);
-  ARTHAS_REQTRACE_BATCH_BEGIN(now);
-  ARTHAS_REQTRACE_COMMAND_BEGIN(1234567, 1, 1);
+  const bool traced = ARTHAS_REQTRACE_BATCH_BEGIN(now);
+  EXPECT_FALSE(traced);
+  EXPECT_EQ(ARTHAS_REQTRACE_NOW_IF(traced), 0);
+  ARTHAS_REQTRACE_COMMAND_BEGIN(1234567, 1, 1, now);
   ARTHAS_REQTRACE_STAGE(obs::ReqStage::kFlush);
   ARTHAS_REQTRACE_SECTION_ENTER();
   ARTHAS_REQTRACE_SECTION_EXIT();
-  ARTHAS_REQTRACE_COMMAND_END(false);
+  ARTHAS_REQTRACE_COMMAND_END(now, false);
   ARTHAS_REQTRACE_BATCH_END(0, 0, 0, 0);
   ARTHAS_REQTRACE_REPLY_FLUSHED();
   ARTHAS_REQTRACE_MITIGATION_BEGIN();
