@@ -29,8 +29,9 @@
 // runtime-enabled vs runtime-disabled (the one-binary proxy for an
 // ARTHAS_OBS_DISABLED build; the disabled path still pays one relaxed
 // load). The same mode also measures the telemetry sampler, the phase
-// profiler, and the request trace plane (each op wrapped in the
-// dispatcher's per-request trace lifecycle, plane on vs off). Every
+// profiler, the request trace plane (each op wrapped in the dispatcher's
+// per-request trace lifecycle, plane on vs off) and the resource
+// accountant, one table-driven on/off loop for all five. Every
 // resulting on/off slowdown ratio is gated by
 // bench/check_perf_baseline.py --recorder against bench/perf_baseline.json.
 //
@@ -437,260 +438,152 @@ double MeasureThroughputTraced(const SystemFactory& factory, bool ycsb_mix) {
   return static_cast<double>(kOps) / (static_cast<double>(elapsed) / 1e9);
 }
 
-// Flight-recorder overhead: per-system single-threaded throughput with the
-// recorder on vs off, interleaved best-of-`repeat` so a machine load spike
-// cannot bias one side. The gated quantity is the off/on throughput ratio
-// (the slowdown enabling the recorder costs); raw ops/s stay in the
-// artifact for reference.
+// One observability plane measured on vs off by RunRecorderOverhead.
+struct OnOffPlane {
+  const char* key;    // BENCH_overhead.json section; row keys <key>_off/_on
+  const char* label;  // table column label
+  const char* what;   // progress line on stderr
+  // Table caption up to ", <ops> ops, best of <repeat>)".
+  const char* caption;
+  std::function<void(bool)> toggle;
+  std::function<double(const SystemSpec&)> measure;
+  std::function<void()> finish;  // state left behind for the later planes
+  const char* note = nullptr;    // printed under the table
+  obs::JsonValue settings = obs::JsonValue::Object();  // section extras
+};
+
+// Observability overhead, one plane at a time: per-system single-threaded
+// throughput with the plane on vs off, interleaved best-of-`repeat` so a
+// machine load spike cannot bias one side. The gated quantity is the
+// off/on throughput ratio (the slowdown enabling the plane costs); raw
+// ops/s stay in the artifact for reference.
 int RunRecorderOverhead(int repeat) {
   const std::vector<SystemSpec> systems = MakeSystems();
+  auto measure_arthas = [](const SystemSpec& spec) {
+    return MeasureThroughput(spec.factory, Mode::kArthas, spec.ycsb_mix);
+  };
+
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-
-  TextTable table({"System", "Recorder off (op/s)", "Recorder on",
-                   "on/off slowdown"});
-  obs::JsonValue json_systems = obs::JsonValue::Array();
-  double worst_ratio = 0;
-  for (const SystemSpec& spec : systems) {
-    std::fprintf(stderr, "measuring %s (flight recorder on/off)...\n",
-                 spec.name.c_str());
-    double off = 0;
-    double on = 0;
-    for (int r = 0; r < repeat; r++) {
-      recorder.set_enabled(false);
-      off = std::max(
-          off, MeasureThroughput(spec.factory, Mode::kArthas, spec.ycsb_mix));
-      recorder.set_enabled(true);
-      on = std::max(
-          on, MeasureThroughput(spec.factory, Mode::kArthas, spec.ycsb_mix));
-    }
-    recorder.set_enabled(true);
-    const double ratio = on > 0 ? off / on : 0;
-    worst_ratio = std::max(worst_ratio, ratio);
-    char o[32], n[32], ra[32];
-    std::snprintf(o, sizeof(o), "%.0fK", off / 1000);
-    std::snprintf(n, sizeof(n), "%.0fK", on / 1000);
-    std::snprintf(ra, sizeof(ra), "%.3f", ratio);
-    table.AddRow({spec.name, o, n, ra});
-
-    obs::JsonValue row = obs::JsonValue::Object();
-    row.Set("name", obs::JsonValue(spec.name));
-    row.Set("recorder_off_ops_per_sec", obs::JsonValue(off));
-    row.Set("recorder_on_ops_per_sec", obs::JsonValue(on));
-    row.Set("on_off_ratio", obs::JsonValue(ratio));
-    json_systems.Append(std::move(row));
-  }
-  std::printf("Durability flight recorder overhead (single-threaded Arthas "
-              "mode, %d ops, best of %d)\n%s\n",
-              kOps, repeat, table.Render().c_str());
-  std::printf("A slowdown of 1.000 means free; the recorder budget is a few "
-              "percent (see bench/perf_baseline.json).\n");
-
-  // Telemetry sampler overhead, measured the same interleaved way. The
-  // sampler runs at 1 ms here — 10x its production default — so the gated
-  // ratio is a conservative bound on what `--timeline-json` runs cost the
-  // workload (one registry snapshot + probe sweep per tick, all off the
-  // request path).
+  // The sampler runs at 1 ms here — 10x its production default — so the
+  // gated ratio is a conservative bound on what `--timeline-json` runs
+  // cost the workload (one registry snapshot + probe sweep per tick, all
+  // off the request path).
   obs::TelemetrySampler& sampler = obs::TelemetrySampler::Global();
   sampler.Stop();
   sampler.Reset();
   obs::SamplerOptions sampler_options;
   sampler_options.interval_ns = 1'000'000;  // 1 ms
   sampler.Configure(sampler_options);
-
-  TextTable sampler_table({"System", "Sampler off (op/s)", "Sampler on",
-                           "on/off slowdown"});
-  obs::JsonValue sampler_systems = obs::JsonValue::Array();
-  double sampler_worst_ratio = 0;
-  for (const SystemSpec& spec : systems) {
-    std::fprintf(stderr, "measuring %s (telemetry sampler on/off)...\n",
-                 spec.name.c_str());
-    double off = 0;
-    double on = 0;
-    for (int r = 0; r < repeat; r++) {
-      sampler.Stop();
-      off = std::max(
-          off, MeasureThroughput(spec.factory, Mode::kArthas, spec.ycsb_mix));
-      sampler.Start();
-      on = std::max(
-          on, MeasureThroughput(spec.factory, Mode::kArthas, spec.ycsb_mix));
-    }
-    sampler.Stop();
-    const double ratio = on > 0 ? off / on : 0;
-    sampler_worst_ratio = std::max(sampler_worst_ratio, ratio);
-    char o[32], n[32], ra[32];
-    std::snprintf(o, sizeof(o), "%.0fK", off / 1000);
-    std::snprintf(n, sizeof(n), "%.0fK", on / 1000);
-    std::snprintf(ra, sizeof(ra), "%.3f", ratio);
-    sampler_table.AddRow({spec.name, o, n, ra});
-
-    obs::JsonValue row = obs::JsonValue::Object();
-    row.Set("name", obs::JsonValue(spec.name));
-    row.Set("sampler_off_ops_per_sec", obs::JsonValue(off));
-    row.Set("sampler_on_ops_per_sec", obs::JsonValue(on));
-    row.Set("on_off_ratio", obs::JsonValue(ratio));
-    sampler_systems.Append(std::move(row));
-  }
-  sampler.Reset();
-  std::printf("Telemetry sampler overhead (1 ms interval, single-threaded "
-              "Arthas mode, %d ops, best of %d)\n%s\n",
-              kOps, repeat, sampler_table.Render().c_str());
-
-  // Phase-profiler overhead, same interleaved shape. Enabled scopes cost two
-  // TSC reads plus accumulator arithmetic on every instrumented region of
-  // the durability path; the gate bounds what a --profile-json run costs.
+  obs::JsonValue sampler_settings = obs::JsonValue::Object();
+  sampler_settings.Set("interval_ns",
+                       obs::JsonValue(sampler_options.interval_ns));
+  // Enabled profiler scopes cost two TSC reads plus accumulator arithmetic
+  // on every instrumented region of the durability path; the gate bounds
+  // what a --profile-json run costs.
   obs::PhaseProfiler& profiler = obs::PhaseProfiler::Global();
-  TextTable profiler_table({"System", "Profiler off (op/s)", "Profiler on",
-                            "on/off slowdown"});
-  obs::JsonValue profiler_systems = obs::JsonValue::Array();
-  double profiler_worst_ratio = 0;
-  for (const SystemSpec& spec : systems) {
-    std::fprintf(stderr, "measuring %s (phase profiler on/off)...\n",
-                 spec.name.c_str());
-    double off = 0;
-    double on = 0;
-    for (int r = 0; r < repeat; r++) {
-      profiler.set_enabled(false);
-      off = std::max(
-          off, MeasureThroughput(spec.factory, Mode::kArthas, spec.ycsb_mix));
-      profiler.set_enabled(true);
-      on = std::max(
-          on, MeasureThroughput(spec.factory, Mode::kArthas, spec.ycsb_mix));
-    }
-    profiler.set_enabled(false);
-    const double ratio = on > 0 ? off / on : 0;
-    profiler_worst_ratio = std::max(profiler_worst_ratio, ratio);
-    char o[32], n[32], ra[32];
-    std::snprintf(o, sizeof(o), "%.0fK", off / 1000);
-    std::snprintf(n, sizeof(n), "%.0fK", on / 1000);
-    std::snprintf(ra, sizeof(ra), "%.3f", ratio);
-    profiler_table.AddRow({spec.name, o, n, ra});
-
-    obs::JsonValue row = obs::JsonValue::Object();
-    row.Set("name", obs::JsonValue(spec.name));
-    row.Set("profiler_off_ops_per_sec", obs::JsonValue(off));
-    row.Set("profiler_on_ops_per_sec", obs::JsonValue(on));
-    row.Set("on_off_ratio", obs::JsonValue(ratio));
-    profiler_systems.Append(std::move(row));
-  }
-  profiler.Reset();
-  std::printf("Phase profiler overhead (single-threaded Arthas mode, %d ops, "
-              "best of %d)\n%s\n",
-              kOps, repeat, profiler_table.Render().c_str());
-
-  // Request-trace-plane overhead, same interleaved shape. Unlike the three
-  // above, the plane's cost lives in the per-request lifecycle the
+  // The trace plane's cost lives in the per-request lifecycle the
   // dispatcher runs (clock reads, a ring write, a reservoir offer, one
-  // histogram record per commit), so the measured loop wraps every op in
+  // histogram record per commit), so its measured loop wraps every op in
   // that lifecycle rather than relying on hooks already inside Handle().
   obs::RequestTracePlane& plane = obs::RequestTracePlane::Global();
-  TextTable trace_table({"System", "Trace plane off (op/s)", "Trace plane on",
-                         "on/off slowdown"});
-  obs::JsonValue trace_systems = obs::JsonValue::Array();
-  double trace_worst_ratio = 0;
-  for (const SystemSpec& spec : systems) {
-    std::fprintf(stderr, "measuring %s (request trace plane on/off)...\n",
-                 spec.name.c_str());
-    double off = 0;
-    double on = 0;
-    for (int r = 0; r < repeat; r++) {
-      plane.set_enabled(false);
-      off = std::max(off,
-                     MeasureThroughputTraced(spec.factory, spec.ycsb_mix));
-      plane.set_enabled(true);
-      on = std::max(on, MeasureThroughputTraced(spec.factory, spec.ycsb_mix));
-    }
-    plane.set_enabled(true);
-    const double ratio = on > 0 ? off / on : 0;
-    trace_worst_ratio = std::max(trace_worst_ratio, ratio);
-    char o[32], n[32], ra[32];
-    std::snprintf(o, sizeof(o), "%.0fK", off / 1000);
-    std::snprintf(n, sizeof(n), "%.0fK", on / 1000);
-    std::snprintf(ra, sizeof(ra), "%.3f", ratio);
-    trace_table.AddRow({spec.name, o, n, ra});
-
-    obs::JsonValue row = obs::JsonValue::Object();
-    row.Set("name", obs::JsonValue(spec.name));
-    row.Set("tailtrace_off_ops_per_sec", obs::JsonValue(off));
-    row.Set("tailtrace_on_ops_per_sec", obs::JsonValue(on));
-    row.Set("on_off_ratio", obs::JsonValue(ratio));
-    trace_systems.Append(std::move(row));
-  }
-  plane.Clear();
-  std::printf("Request trace plane overhead (full per-request lifecycle, "
-              "single-threaded Arthas mode, %d ops, best of %d)\n%s\n",
-              kOps, repeat, trace_table.Render().c_str());
-
-  // Resource-accountant overhead, same interleaved shape. Every persist
-  // touches the arena and index cells (a relaxed load + relaxed RMW per
-  // acquire/release site); the toggle brackets whole MeasureThroughput
-  // calls, so each measured system is created and destroyed under one
-  // setting and the cells stay balanced.
+  // Every persist touches the accountant's arena and index cells (a relaxed
+  // load + relaxed RMW per acquire/release site); the toggle brackets whole
+  // MeasureThroughput calls, so each measured system is created and
+  // destroyed under one setting and the cells stay balanced.
   obs::ResourceAccountant& accountant = obs::ResourceAccountant::Global();
-  TextTable accountant_table({"System", "Accountant off (op/s)",
-                              "Accountant on", "on/off slowdown"});
-  obs::JsonValue accountant_systems = obs::JsonValue::Array();
-  double accountant_worst_ratio = 0;
-  for (const SystemSpec& spec : systems) {
-    std::fprintf(stderr, "measuring %s (resource accountant on/off)...\n",
-                 spec.name.c_str());
-    double off = 0;
-    double on = 0;
-    for (int r = 0; r < repeat; r++) {
-      accountant.set_enabled(false);
-      off = std::max(
-          off, MeasureThroughput(spec.factory, Mode::kArthas, spec.ycsb_mix));
-      accountant.set_enabled(true);
-      on = std::max(
-          on, MeasureThroughput(spec.factory, Mode::kArthas, spec.ycsb_mix));
-    }
-    accountant.set_enabled(true);
-    const double ratio = on > 0 ? off / on : 0;
-    accountant_worst_ratio = std::max(accountant_worst_ratio, ratio);
-    char o[32], n[32], ra[32];
-    std::snprintf(o, sizeof(o), "%.0fK", off / 1000);
-    std::snprintf(n, sizeof(n), "%.0fK", on / 1000);
-    std::snprintf(ra, sizeof(ra), "%.3f", ratio);
-    accountant_table.AddRow({spec.name, o, n, ra});
 
-    obs::JsonValue row = obs::JsonValue::Object();
-    row.Set("name", obs::JsonValue(spec.name));
-    row.Set("accountant_off_ops_per_sec", obs::JsonValue(off));
-    row.Set("accountant_on_ops_per_sec", obs::JsonValue(on));
-    row.Set("on_off_ratio", obs::JsonValue(ratio));
-    accountant_systems.Append(std::move(row));
-  }
-  std::printf("Resource accountant overhead (single-threaded Arthas mode, "
-              "%d ops, best of %d)\n%s\n",
-              kOps, repeat, accountant_table.Render().c_str());
-
+  std::vector<OnOffPlane> planes = {
+      {"recorder", "Recorder", "flight recorder",
+       "Durability flight recorder overhead (single-threaded Arthas mode",
+       [&](bool on) { recorder.set_enabled(on); }, measure_arthas,
+       [&] { recorder.set_enabled(true); },
+       "A slowdown of 1.000 means free; the recorder budget is a few "
+       "percent (see bench/perf_baseline.json).\n"},
+      {"sampler", "Sampler", "telemetry sampler",
+       "Telemetry sampler overhead (1 ms interval, single-threaded Arthas "
+       "mode",
+       [&](bool on) {
+         if (on) {
+           sampler.Start();
+         } else {
+           sampler.Stop();
+         }
+       },
+       measure_arthas,
+       [&] {
+         sampler.Stop();
+         sampler.Reset();
+       },
+       nullptr, sampler_settings},
+      {"profiler", "Profiler", "phase profiler",
+       "Phase profiler overhead (single-threaded Arthas mode",
+       [&](bool on) { profiler.set_enabled(on); }, measure_arthas,
+       [&] {
+         profiler.set_enabled(false);
+         profiler.Reset();
+       }},
+      {"tailtrace", "Trace plane", "request trace plane",
+       "Request trace plane overhead (full per-request lifecycle, "
+       "single-threaded Arthas mode",
+       [&](bool on) { plane.set_enabled(on); },
+       [](const SystemSpec& spec) {
+         return MeasureThroughputTraced(spec.factory, spec.ycsb_mix);
+       },
+       [&] {
+         plane.set_enabled(true);
+         plane.Clear();
+       }},
+      {"accountant", "Accountant", "resource accountant",
+       "Resource accountant overhead (single-threaded Arthas mode",
+       [&](bool on) { accountant.set_enabled(on); }, measure_arthas,
+       [&] { accountant.set_enabled(true); }},
+  };
   obs::JsonValue doc = obs::JsonValue::Object();
   doc.Set("bench", obs::JsonValue("overhead"));
   doc.Set("mode", obs::JsonValue("recorder_overhead"));
   doc.Set("ops", obs::JsonValue(static_cast<int64_t>(kOps)));
-  obs::JsonValue recorder_json = obs::JsonValue::Object();
-  recorder_json.Set("worst_on_off_ratio", obs::JsonValue(worst_ratio));
-  recorder_json.Set("systems", std::move(json_systems));
-  doc.Set("recorder", std::move(recorder_json));
-  obs::JsonValue sampler_json = obs::JsonValue::Object();
-  sampler_json.Set("interval_ns",
-                   obs::JsonValue(sampler_options.interval_ns));
-  sampler_json.Set("worst_on_off_ratio", obs::JsonValue(sampler_worst_ratio));
-  sampler_json.Set("systems", std::move(sampler_systems));
-  doc.Set("sampler", std::move(sampler_json));
-  obs::JsonValue profiler_json = obs::JsonValue::Object();
-  profiler_json.Set("worst_on_off_ratio",
-                    obs::JsonValue(profiler_worst_ratio));
-  profiler_json.Set("systems", std::move(profiler_systems));
-  doc.Set("profiler", std::move(profiler_json));
-  obs::JsonValue trace_json = obs::JsonValue::Object();
-  trace_json.Set("worst_on_off_ratio", obs::JsonValue(trace_worst_ratio));
-  trace_json.Set("systems", std::move(trace_systems));
-  doc.Set("tailtrace", std::move(trace_json));
-  obs::JsonValue accountant_json = obs::JsonValue::Object();
-  accountant_json.Set("worst_on_off_ratio",
-                      obs::JsonValue(accountant_worst_ratio));
-  accountant_json.Set("systems", std::move(accountant_systems));
-  doc.Set("accountant", std::move(accountant_json));
+  for (OnOffPlane& p : planes) {
+    const std::string key = p.key;
+    TextTable table({"System", std::string(p.label) + " off (op/s)",
+                     std::string(p.label) + " on", "on/off slowdown"});
+    obs::JsonValue json_systems = obs::JsonValue::Array();
+    double worst_ratio = 0;
+    for (const SystemSpec& spec : systems) {
+      std::fprintf(stderr, "measuring %s (%s on/off)...\n", spec.name.c_str(),
+                   p.what);
+      double off = 0;
+      double on = 0;
+      for (int r = 0; r < repeat; r++) {
+        p.toggle(false);
+        off = std::max(off, p.measure(spec));
+        p.toggle(true);
+        on = std::max(on, p.measure(spec));
+      }
+      const double ratio = on > 0 ? off / on : 0;
+      worst_ratio = std::max(worst_ratio, ratio);
+      char o[32], n[32], ra[32];
+      std::snprintf(o, sizeof(o), "%.0fK", off / 1000);
+      std::snprintf(n, sizeof(n), "%.0fK", on / 1000);
+      std::snprintf(ra, sizeof(ra), "%.3f", ratio);
+      table.AddRow({spec.name, o, n, ra});
+
+      obs::JsonValue row = obs::JsonValue::Object();
+      row.Set("name", obs::JsonValue(spec.name));
+      row.Set(key + "_off_ops_per_sec", obs::JsonValue(off));
+      row.Set(key + "_on_ops_per_sec", obs::JsonValue(on));
+      row.Set("on_off_ratio", obs::JsonValue(ratio));
+      json_systems.Append(std::move(row));
+    }
+    p.finish();
+    std::printf("%s, %d ops, best of %d)\n%s\n", p.caption, kOps, repeat,
+                table.Render().c_str());
+    if (p.note != nullptr) {
+      std::printf("%s", p.note);
+    }
+    p.settings.Set("worst_on_off_ratio", obs::JsonValue(worst_ratio));
+    p.settings.Set("systems", std::move(json_systems));
+    doc.Set(key, std::move(p.settings));
+  }
   WriteArtifact(doc);
   return 0;
 }

@@ -215,6 +215,14 @@ void CheckpointLog::AddIndexBytes(size_t bytes) {
   ARTHAS_RESOURCE_ADD("checkpoint.index.bytes", "bytes", bytes);
 }
 
+void CheckpointLog::PublishCounts() const {
+  ARTHAS_GAUGE_SET("checkpoint.versions.retained", retained_versions_.load());
+  ARTHAS_GAUGE_SET("checkpoint.entries.count", entry_count_.load());
+  ARTHAS_GAUGE_SET("checkpoint.arena_bytes", arena_bytes_.load());
+  ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
+                      retained_versions_.load());
+}
+
 void CheckpointLog::AddSeqIndexCapacityLocked(Shard& shard,
                                               size_t old_capacity) {
   if (shard.seq_index.capacity() != old_capacity) {
@@ -393,14 +401,7 @@ void CheckpointLog::OnPersist(PmOffset offset, size_t size, const void* data) {
   // the new-version and undo copies the log makes per persisted range.
   ARTHAS_COUNTER_ADD("checkpoint.record.count", 1);
   ARTHAS_COUNTER_ADD("checkpoint.copy.bytes", 2 * size);
-  ARTHAS_GAUGE_SET("checkpoint.versions.retained", retained_versions_.load());
-  ARTHAS_GAUGE_SET("checkpoint.entries.count", entry_count_.load());
-  // Capacity-plane names (the STATS `checkpoint.` prefix filter and the
-  // growth analyzer read these; the two above predate the capacity plane).
-  ARTHAS_GAUGE_SET("checkpoint.retained_versions", retained_versions_.load());
-  ARTHAS_GAUGE_SET("checkpoint.arena_bytes", arena_bytes_.load());
-  ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
-                      retained_versions_.load());
+  PublishCounts();
 }
 
 void CheckpointLog::OnAlloc(PmOffset offset, size_t size) {
@@ -445,6 +446,7 @@ void CheckpointLog::OnRealloc(PmOffset old_offset, size_t /*old_size*/,
   if (CheckpointEntry* old_entry = FindSlot(shards_[si_old], old_offset)) {
     old_entry->new_entry = new_offset;
   }
+  PublishCounts();
 }
 
 void CheckpointLog::OnTxBegin(uint64_t tx_id) {
@@ -716,12 +718,7 @@ Result<bool> CheckpointLog::RevertSeq(SeqNum seq) {
     discard_from(static_cast<size_t>(idx) + 1);
     retained_versions_ -= discarded;
     ARTHAS_COUNTER_ADD("checkpoint.revert.count", discarded + 1);
-    ARTHAS_GAUGE_SET("checkpoint.versions.retained",
-                     retained_versions_.load());
-    ARTHAS_GAUGE_SET("checkpoint.retained_versions",
-                     retained_versions_.load());
-    ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
-                        retained_versions_.load());
+    PublishCounts();
     ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointRevert,
                          device_->device_id(), entry.address, discarded + 1,
                          seq, obs::FrReason::kDivergence);
@@ -746,10 +743,7 @@ Result<bool> CheckpointLog::RevertSeq(SeqNum seq) {
   discard_from(static_cast<size_t>(idx));
   retained_versions_ -= discarded;
   ARTHAS_COUNTER_ADD("checkpoint.revert.count", discarded);
-  ARTHAS_GAUGE_SET("checkpoint.versions.retained", retained_versions_.load());
-  ARTHAS_GAUGE_SET("checkpoint.retained_versions", retained_versions_.load());
-  ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
-                      retained_versions_.load());
+  PublishCounts();
   ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointRevert, device_->device_id(),
                        entry.address, discarded, seq);
   return false;
@@ -790,10 +784,7 @@ Result<uint64_t> CheckpointLog::RollbackToSeq(SeqNum seq) {
   stats_.reverted_updates += discarded;
   retained_versions_ -= discarded;
   ARTHAS_COUNTER_ADD("checkpoint.revert.count", discarded);
-  ARTHAS_GAUGE_SET("checkpoint.versions.retained", retained_versions_.load());
-  ARTHAS_GAUGE_SET("checkpoint.retained_versions", retained_versions_.load());
-  ARTHAS_RESOURCE_SET("checkpoint.retained.versions", "count",
-                      retained_versions_.load());
+  PublishCounts();
   ARTHAS_FLIGHT_RECORD(obs::FrType::kCheckpointRollback,
                        device_->device_id(), 0, discarded, seq);
   return discarded;

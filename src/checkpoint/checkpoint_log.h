@@ -442,6 +442,11 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // "checkpoint.index.bytes" accountant cell.
   void AddIndexBytes(size_t bytes);
 
+  // Publishes the retained-version, entry and arena-chunk counts to their
+  // gauges and the version count to its capacity cell. Every path that
+  // changes a count ends with this call.
+  void PublishCounts() const;
+
   PmemPool* pool_;  // null after Detach()
   PmemDevice* device_;
   CheckpointConfig config_;
@@ -459,8 +464,8 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   std::map<PmOffset, AllocationRecord> allocations_;
   std::atomic<SeqNum> next_seq_{1};
   std::atomic<uint64_t> entry_count_{0};
-  // Currently retained versions across all entries (mirrored to the
-  // `checkpoint.versions.retained` gauge).
+  // Currently retained versions across all entries (published by
+  // PublishCounts).
   std::atomic<uint64_t> retained_versions_{0};
   // Shard arena chunk bytes (every shard arena is bound to this counter)
   // and index bytes (AddIndexBytes), for the capacity gauges.

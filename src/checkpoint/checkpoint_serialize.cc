@@ -271,6 +271,7 @@ Status CheckpointLog::Restore(const std::vector<uint8_t>& image) {
   retained_versions_ = total_versions;
   config_.max_versions = static_cast<int>(max_versions);
   max_extent_ = max_extent;
+  PublishCounts();
   return OkStatus();
 }
 

@@ -62,8 +62,8 @@ inline int64_t NowNanos() { return MonotonicNanos(); }
 // to MonotonicNanos() this is exactly 1.
 double CyclesPerNanosecond();
 
-// Measures real elapsed time on the monotonic clock. The building block for
-// obs::ScopedLatency and the span tracer.
+// Measures real elapsed time on the monotonic clock, e.g. each reactor phase
+// that ARTHAS_PHASE_RECORD (obs/obs.h) records.
 class ScopedTimer {
  public:
   ScopedTimer() : start_ns_(MonotonicNanos()) {}

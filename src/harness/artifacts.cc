@@ -1,15 +1,18 @@
 #include "harness/artifacts.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <mutex>
+#include <set>
 
 #include "common/logging.h"
+#include "obs/flight_recorder.h"
 #include "obs/forensics.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 #include "obs/timeseries.h"
 
 namespace arthas {
@@ -84,6 +87,80 @@ std::string MetricsArtifactJson() {
     cells.Append(std::move(cell));
   }
   out.Set("cells", std::move(cells));
+  return out.Dump();
+}
+
+std::string TraceArtifactJson() {
+  // Seq order; a phase is recorded when it closes, so this is completion
+  // order (a nested phase precedes the phase around it).
+  const std::vector<obs::FlightRecord> phases =
+      obs::FlightRecorder::Phases().Snapshot();
+  int64_t epoch_ns = std::numeric_limits<int64_t>::max();
+  std::set<uint16_t> tids;
+  for (const obs::FlightRecord& r : phases) {
+    epoch_ns = std::min(epoch_ns, r.ts_ns - static_cast<int64_t>(r.size));
+    tids.insert(r.tid);
+  }
+  obs::JsonValue trace_events = obs::JsonValue::Array();
+  auto metadata = [&trace_events](const char* name, uint16_t tid,
+                                  const char* label) {
+    obs::JsonValue meta = obs::JsonValue::Object();
+    meta.Set("name", obs::JsonValue(name));
+    meta.Set("ph", obs::JsonValue("M"));
+    meta.Set("pid", obs::JsonValue(int64_t{1}));
+    meta.Set("tid", obs::JsonValue(int64_t{tid}));
+    obs::JsonValue args = obs::JsonValue::Object();
+    args.Set("name", obs::JsonValue(label));
+    meta.Set("args", std::move(args));
+    trace_events.Append(std::move(meta));
+  };
+  // Exactly one process_name row (a duplicate would make the viewer render
+  // duplicate process groups), then one thread_name row per thread that
+  // has events.
+  metadata("process_name", 0, "arthas");
+  for (const uint16_t tid : tids) {
+    char label[32];
+    std::snprintf(label, sizeof(label), "arthas-thread-%u",
+                  static_cast<unsigned>(tid));
+    metadata("thread_name", tid, label);
+  }
+  for (const obs::FlightRecord& r : phases) {
+    const auto phase = static_cast<obs::FrPhase>(r.addr);
+    obs::JsonValue ev = obs::JsonValue::Object();
+    ev.Set("name", obs::JsonValue(obs::FrPhaseName(phase)));
+    ev.Set("cat", obs::JsonValue("arthas"));
+    ev.Set("ph", obs::JsonValue("X"));
+    // Chrome trace timestamps are microseconds; keep sub-us precision as a
+    // fractional part. Chrome's renderer drops zero-duration complete
+    // events nested inside others, so every phase lasts at least 1 ns.
+    const int64_t start_ns = r.ts_ns - static_cast<int64_t>(r.size);
+    ev.Set("ts", obs::JsonValue(static_cast<double>(start_ns - epoch_ns) /
+                                1000.0));
+    ev.Set("dur", obs::JsonValue(
+                      static_cast<double>(std::max<uint64_t>(r.size, 1)) /
+                      1000.0));
+    ev.Set("pid", obs::JsonValue(int64_t{1}));
+    ev.Set("tid", obs::JsonValue(int64_t{r.tid}));
+    if (const char* arg_name = obs::FrPhaseArgName(phase)) {
+      obs::JsonValue args = obs::JsonValue::Object();
+      args.Set(arg_name, obs::JsonValue(r.arg));
+      ev.Set("args", std::move(args));
+    }
+    trace_events.Append(std::move(ev));
+  }
+  obs::JsonValue out = obs::JsonValue::Object();
+  out.Set("traceEvents", std::move(trace_events));
+  out.Set("displayTimeUnit", obs::JsonValue("ns"));
+  // A thread that closed more phases than its ring holds lost its oldest
+  // ones; say so instead of exporting a silently truncated trace.
+  const uint64_t dropped = obs::FlightRecorder::Phases().dropped();
+  if (dropped > 0) {
+    obs::JsonValue other = obs::JsonValue::Object();
+    other.Set("dropped_phases", obs::JsonValue(dropped));
+    out.Set("otherData", std::move(other));
+    ARTHAS_LOG(Warning) << "trace artifact lost its " << dropped
+                        << " oldest phases to ring wraparound";
+  }
   return out.Dump();
 }
 
@@ -185,12 +262,10 @@ Status ObsArtifactWriter::WriteNow() const {
     ARTHAS_RETURN_IF_ERROR(WriteFile(metrics_path_, MetricsArtifactJson()));
   }
   if (!trace_path_.empty()) {
-    ARTHAS_RETURN_IF_ERROR(
-        WriteFile(trace_path_, obs::SpanTracer::Global().ExportChromeJson()));
+    ARTHAS_RETURN_IF_ERROR(WriteFile(trace_path_, TraceArtifactJson()));
   }
   if (!summary_path_.empty()) {
-    std::string summary = obs::SpanTracer::Global().ExportTextSummary();
-    summary += obs::MetricsRegistry::Global().LatencyTable();
+    std::string summary = obs::MetricsRegistry::Global().LatencyTable();
     summary += obs::MetricsRegistry::Global().SnapshotJsonString();
     summary += "\n";
     ARTHAS_RETURN_IF_ERROR(WriteFile(summary_path_, summary));

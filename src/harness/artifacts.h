@@ -2,8 +2,10 @@
 //
 // Every bench binary accepts
 //   --metrics-json <path>   registry snapshot + per-cell records as JSON
-//   --trace-json <path>     Chrome trace-event JSON (chrome://tracing)
-//   --metrics-summary <path> flat text summary (spans + latency percentiles)
+//   --trace-json <path>     Chrome trace-event JSON (chrome://tracing) of
+//                           the mitigation phases in FlightRecorder::Phases()
+//   --metrics-summary <path> flat text summary (latency percentiles + the
+//                            registry snapshot)
 //   --forensics-json <path>  latest crash-forensics report as JSON
 //   --forensics-text <path>  the same report as a human-readable narrative
 //   --timeline-json <path>   telemetry-sampler series + recovery timeline
@@ -57,6 +59,13 @@ void ClearCellRecords();
 
 // The metrics artifact: {"counters", "gauges", "histograms", "cells"}.
 std::string MetricsArtifactJson();
+
+// The trace artifact: {"traceEvents", "displayTimeUnit"}, one process_name
+// row, one thread_name row per thread with phases, then one "X" event per
+// closed phase in completion order, its count (if any) under "args". If a
+// thread's phase ring wrapped, "otherData": {"dropped_phases": n} counts
+// the phases lost (absent otherwise).
+std::string TraceArtifactJson();
 
 // Parses --metrics-json/--trace-json/--metrics-summary out of argv and
 // writes the artifacts at scope exit (i.e. when main() returns).

@@ -543,9 +543,7 @@ bool FaultExperiment::EvaluateConsistency() {
 ExperimentResult FaultExperiment::Run() {
   const obs::RegistrySnapshot before =
       obs::MetricsRegistry::Global().Snapshot();
-  ARTHAS_NAMED_SPAN(cell_span, "harness.cell");
-  cell_span.AddAttr("fault", std::string(DescriptorFor(config_.fault).label));
-  cell_span.AddAttr("solution", std::string(SolutionName(config_.solution)));
+  ARTHAS_SCOPED_PHASE("harness.cell.ns", kHarnessCell);
   ARTHAS_COUNTER_ADD("harness.cell.count", 1);
 
   ExperimentResult result = RunInner();
@@ -558,7 +556,6 @@ ExperimentResult FaultExperiment::Run() {
     ARTHAS_GAUGE_SET("checkpoint.image.bytes", image.size());
   }
 
-  cell_span.AddAttr("recovered", std::string(result.recovered ? "yes" : "no"));
   CellRecord record;
   record.fault = DescriptorFor(config_.fault).label;
   record.solution = SolutionName(config_.solution);

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/metrics.h"
-
 namespace arthas {
 
 std::string TextTable::Render() const {
@@ -59,35 +57,6 @@ std::string FormatSeconds(VirtualTime t) {
   std::snprintf(buf, sizeof(buf), "%.1f s",
                 static_cast<double>(t) / static_cast<double>(kSecond));
   return buf;
-}
-
-std::string RenderMetricsSummary() {
-  const obs::RegistrySnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-  std::ostringstream out;
-  if (!snap.counters.empty() || !snap.gauges.empty()) {
-    TextTable values({"metric", "kind", "value"});
-    for (const auto& [name, value] : snap.counters) {
-      values.AddRow({name, "counter", std::to_string(value)});
-    }
-    for (const auto& [name, value] : snap.gauges) {
-      values.AddRow({name, "gauge", std::to_string(value)});
-    }
-    out << "metrics\n" << values.Render();
-  }
-  if (!snap.histograms.empty()) {
-    TextTable hist({"histogram", "count", "p50", "p90", "p99", "max"});
-    auto fmt = [](double v) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.0f", v);
-      return std::string(buf);
-    };
-    for (const auto& [name, h] : snap.histograms) {
-      hist.AddRow({name, std::to_string(h.count), fmt(h.p50), fmt(h.p90),
-                   fmt(h.p99), std::to_string(h.max)});
-    }
-    out << "histograms\n" << hist.Render();
-  }
-  return out.str();
 }
 
 }  // namespace arthas

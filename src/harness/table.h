@@ -34,11 +34,6 @@ std::string FormatPercent(double fraction);
 // Virtual time as seconds with one decimal, e.g. "103.6 s".
 std::string FormatSeconds(VirtualTime t);
 
-// Renders the global metrics registry as text tables (counters/gauges and
-// histogram percentiles); the bench binaries append it after the paper
-// tables so a run's raw measurements travel with its rendered output.
-std::string RenderMetricsSummary();
-
 }  // namespace arthas
 
 #endif  // ARTHAS_HARNESS_TABLE_H_

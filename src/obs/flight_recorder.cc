@@ -1,6 +1,8 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
+#include <new>
+#include <unordered_map>
 
 #include "common/clock.h"
 
@@ -9,32 +11,20 @@ namespace obs {
 
 namespace {
 
-// Sequential per-thread ids shared by every recorder instance so a thread
-// keeps one identity across the global recorder and test-local ones (and
-// across the span tracer, which uses its own counter — both are 1-based
-// small integers chosen for stable, readable artifacts).
-uint16_t ThisThreadId() {
-  static std::atomic<uint16_t> next{1};
-  thread_local uint16_t id = next.fetch_add(1);
-  return id;
-}
-
 uint64_t NextRecorderId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1);
 }
 
-// One-entry thread-local cache: the common case is every Record() call
-// hitting the same (global) recorder, so the slow registry path runs once
-// per thread per recorder. Recorder ids are never reused, so a stale cache
-// entry for a destroyed test recorder can never match a live one.
-struct TlsRingCache {
-  uint64_t recorder_id = 0;
-  void* ring = nullptr;
-};
-thread_local TlsRingCache tls_ring_cache;
-
 }  // namespace
+
+uint16_t ThisThreadNumber() {
+  // Small sequential numbers (std::thread::id values are neither small nor
+  // deterministic) keep artifacts stable and readable across runs.
+  static std::atomic<uint16_t> next{1};
+  thread_local uint16_t number = next.fetch_add(1);
+  return number;
+}
 
 const char* FrTypeName(FrType type) {
   switch (type) {
@@ -64,8 +54,29 @@ const char* FrTypeName(FrType type) {
     case FrType::kSectionBegin: return "section_begin";
     case FrType::kSectionCommit: return "section_commit";
     case FrType::kSectionAbort: return "section_abort";
+    case FrType::kPhase: return "phase";
   }
   return "unknown";
+}
+
+const char* FrPhaseName(FrPhase phase) {
+  switch (phase) {
+    case FrPhase::kHarnessCell: return "harness.cell";
+    case FrPhase::kReactorMitigate: return "reactor.mitigate";
+    case FrPhase::kReactorSlice: return "reactor.slice";
+    case FrPhase::kReactorSearch: return "reactor.search";
+    case FrPhase::kReactorRevert: return "reactor.revert";
+    case FrPhase::kReactorReexecute: return "reactor.reexecute";
+  }
+  return "unknown";
+}
+
+const char* FrPhaseArgName(FrPhase phase) {
+  switch (phase) {
+    case FrPhase::kReactorSlice: return "instructions";
+    case FrPhase::kReactorSearch: return "candidates";
+    default: return nullptr;
+  }
 }
 
 const char* FrReasonName(FrReason reason) {
@@ -109,17 +120,47 @@ FlightRecorder& FlightRecorder::Global() {
   return *recorder;
 }
 
-FlightRecorder::Ring* FlightRecorder::LocalRing() {
-  if (tls_ring_cache.recorder_id == recorder_id_) {
-    return static_cast<Ring*>(tls_ring_cache.ring);
+FlightRecorder& FlightRecorder::Phases() {
+  // Leaked like Global(). 4096 records per thread, the power of two above
+  // the busiest thread of any bench (bench_mitigation_time: 2,886 phases,
+  // all on its main thread). A thread past that loses its oldest phases;
+  // the trace artifact reports them as dropped_phases.
+  static FlightRecorder* recorder = new FlightRecorder(4096);
+  return *recorder;
+}
+
+FlightRecorder::Ring::Ring(size_t capacity, uint16_t tid)
+    : records(static_cast<FlightRecord*>(
+          std::calloc(capacity, sizeof(FlightRecord)))),
+      tid(tid) {
+  if (records == nullptr) {
+    throw std::bad_alloc();
   }
-  // First event from this thread for this recorder: register a ring. Rings
-  // are owned by the recorder and outlive their thread, so a snapshot after
-  // a worker joins still sees its events.
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  rings_.push_back(std::make_unique<Ring>(capacity_, ThisThreadId()));
-  Ring* ring = rings_.back().get();
-  tls_ring_cache = TlsRingCache{recorder_id_, ring};
+}
+
+FlightRecorder::Ring* FlightRecorder::LocalRing() {
+  // One-entry cache for the common case, every record of a stretch going
+  // to one recorder; the map holds this thread's ring in each recorder it
+  // has used (Global() and Phases() alternate on the reactor's thread).
+  // Recorder ids are never reused, so a stale entry for a destroyed test
+  // recorder can never match a live one.
+  thread_local uint64_t cached_id = 0;
+  thread_local Ring* cached_ring = nullptr;
+  if (cached_id == recorder_id_) {
+    return cached_ring;
+  }
+  thread_local std::unordered_map<uint64_t, Ring*> rings;
+  Ring*& ring = rings[recorder_id_];
+  if (ring == nullptr) {
+    // First event from this thread for this recorder: register a ring.
+    // Rings are owned by the recorder and outlive their thread, so a
+    // snapshot after a worker joins still sees its events.
+    std::lock_guard<std::mutex> lock(registry_mutex_);
+    rings_.push_back(std::make_unique<Ring>(capacity_, ThisThreadNumber()));
+    ring = rings_.back().get();
+  }
+  cached_id = recorder_id_;
+  cached_ring = ring;
   return ring;
 }
 

@@ -15,7 +15,8 @@
 //     the global sequence counter that totally orders events across rings,
 //   * memory is bounded: kRingCapacity records per thread, fixed-size POD
 //     records (48 bytes), nothing allocated on the record path after the
-//     first event of a thread,
+//     first event of a thread for a recorder; ring storage is calloc'd, so
+//     a slot costs resident memory only once a record lands in it,
 //   * everything compiles out under ARTHAS_OBS_DISABLED via the
 //     ARTHAS_FLIGHT_RECORD macro (same per-TU discipline as obs/obs.h);
 //     the classes themselves stay linkable so tooling builds either way,
@@ -32,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -80,6 +82,20 @@ enum class FrType : uint8_t {
   kSectionBegin,
   kSectionCommit,
   kSectionAbort,
+  // A closed mitigation phase, in FlightRecorder::Phases(). addr = FrPhase,
+  // size = duration in ns, arg = the phase's count (FrPhaseArgName).
+  kPhase,
+};
+
+// The timed phases of a harness cell and of the reactor's mitigation
+// (paper Table 9 / Fig. 8), each also timed by a `<name>.ns` histogram.
+enum class FrPhase : uint8_t {
+  kHarnessCell,
+  kReactorMitigate,
+  kReactorSlice,      // arg = slice instructions
+  kReactorSearch,     // arg = candidates
+  kReactorRevert,
+  kReactorReexecute,
 };
 
 // Why an event happened, for kinds that need a cause (lost lines, reactor
@@ -101,6 +117,16 @@ enum class FrReason : uint8_t {
 
 const char* FrTypeName(FrType type);
 const char* FrReasonName(FrReason reason);
+// "harness.cell", "reactor.slice", ...
+const char* FrPhaseName(FrPhase phase);
+// The name of the phase's count ("instructions", "candidates"), or nullptr
+// for a phase that carries none.
+const char* FrPhaseArgName(FrPhase phase);
+
+// The calling thread's sequential number, 1-based. Every recorder and the
+// request-trace plane stamp this one number, so a thread's flight records,
+// request traces and trace-export row can be joined.
+uint16_t ThisThreadNumber();
 
 // Fixed-size POD record. 48 bytes so a thread ring of 8192 records costs
 // 384 KiB — bounded no matter how long the run is.
@@ -119,8 +145,7 @@ static_assert(sizeof(FlightRecord) == 48, "records are fixed-size");
 
 class FlightRecorder {
  public:
-  // Per-thread ring capacity (records). Power of two; the default holds
-  // the full event history of every harness cell while bounding a thread's
+  // Per-thread ring capacity (records). Power of two; bounds a thread's
   // footprint at 384 KiB.
   static constexpr size_t kDefaultRingCapacity = 8192;
 
@@ -133,6 +158,11 @@ class FlightRecorder {
   // The process-wide recorder every hook reports into. Never destroyed, so
   // it survives any device's Crash() and is readable post-mortem.
   static FlightRecorder& Global();
+  // One kPhase record per closed harness cell or reactor phase: the
+  // --trace-json source. Separate from Global() because one harness cell
+  // writes up to ~92k durability records on its thread, which would
+  // overwrite its phases long before the artifact is written.
+  static FlightRecorder& Phases();
 
   // Runtime switch (relaxed load on the record path). Used by the overhead
   // bench to measure recorder-on vs recorder-off in one binary.
@@ -163,10 +193,14 @@ class FlightRecorder {
   size_t ring_capacity() const { return capacity_; }
 
  private:
+  struct FreeRecords {
+    void operator()(FlightRecord* records) const { std::free(records); }
+  };
   struct Ring {
-    explicit Ring(size_t capacity, uint16_t tid)
-        : records(capacity), tid(tid) {}
-    std::vector<FlightRecord> records;
+    Ring(size_t capacity, uint16_t tid);
+    // calloc'd, not value-initialized: zeroing up front would make every
+    // slot resident on a thread that records a handful of events.
+    std::unique_ptr<FlightRecord[], FreeRecords> records;
     // Total records ever written to this ring; slot = head % capacity.
     // Release store after the record write pairs with Snapshot's acquire.
     std::atomic<uint64_t> head{0};
@@ -182,6 +216,15 @@ class FlightRecorder {
   mutable std::mutex registry_mutex_;
   std::vector<std::unique_ptr<Ring>> rings_;
 };
+
+// Records one closed phase of `ns` nanoseconds into Phases(). Prefer the
+// ARTHAS_SCOPED_PHASE / ARTHAS_PHASE_RECORD macros in obs/obs.h, which also
+// time the phase's histogram and compile out under ARTHAS_OBS_DISABLED.
+inline void RecordPhase(FrPhase phase, int64_t ns, uint64_t arg) {
+  FlightRecorder::Phases().Record(FrType::kPhase, 0,
+                                  static_cast<uint64_t>(phase),
+                                  static_cast<uint64_t>(ns), arg);
+}
 
 }  // namespace obs
 }  // namespace arthas

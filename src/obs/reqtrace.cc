@@ -6,20 +6,13 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace arthas {
 namespace obs {
 
 namespace {
-
-// Sequential per-thread ids, same numbering scheme as the flight recorder
-// (1-based small integers for readable artifacts).
-uint16_t ThisThreadId() {
-  static std::atomic<uint16_t> next{1};
-  thread_local uint16_t id = next.fetch_add(1);
-  return id;
-}
 
 uint64_t NextPlaneId() {
   static std::atomic<uint64_t> next{1};
@@ -169,9 +162,10 @@ RequestTracePlane::Ring* RequestTracePlane::LocalRing() {
     if (!pool_->free.empty()) {
       ring = pool_->free.back();
       pool_->free.pop_back();
-      ring->tid = ThisThreadId();
+      ring->tid = ThisThreadNumber();
     } else {
-      pool_->rings.push_back(std::make_unique<Ring>(capacity_, ThisThreadId()));
+      pool_->rings.push_back(
+          std::make_unique<Ring>(capacity_, ThisThreadNumber()));
       ring = pool_->rings.back().get();
     }
   }

@@ -109,7 +109,7 @@ struct RequestTrace {
   int64_t start_ns = 0;  // server receipt (read() return)
   int64_t end_ns = 0;    // replies handed to the socket
   int64_t stage_ns[kReqStageCount] = {};
-  uint16_t tid = 0;      // loop thread (flight-recorder thread ids)
+  uint16_t tid = 0;      // loop thread (obs::ThisThreadNumber)
   uint8_t op = 0;        // net::NetOp of the command
   bool faulted = false;
 

@@ -45,17 +45,13 @@ std::vector<Reactor::PlannedCandidate> Reactor::PlanCandidates(
   if (fault_inst == nullptr) {
     return {};
   }
-  ARTHAS_NAMED_SPAN(slice_span, "reactor.slice");
   const SliceResult slice = slicer_->BackwardPersistent(fault_inst);
   timings_.last_slicing_ns = slice.elapsed_ns;
-  ARTHAS_HISTOGRAM_RECORD("reactor.slice.ns", slice.elapsed_ns);
-  slice_span.AddAttr("instructions",
-                     static_cast<uint64_t>(slice.instructions.size()));
-  slice_span.Close();
+  ARTHAS_PHASE_RECORD("reactor.slice.ns", kReactorSlice, slice.elapsed_ns,
+                      slice.instructions.size());
 
   // Search phase: join the static slice against the dynamic trace and the
   // checkpoint log to build the candidate list (paper Section 4.4).
-  ARTHAS_NAMED_SPAN(search_span, "reactor.search");
   ScopedTimer search_timer;
   // Every retained version of every entry overlapping an address a slice
   // node touched. Many addresses land in one entry; its versions (and its
@@ -147,10 +143,9 @@ std::vector<Reactor::PlannedCandidate> Reactor::PlanCandidates(
       explanation->push_back(std::move(decision));
     }
   }
-  ARTHAS_HISTOGRAM_RECORD("reactor.search.ns", search_timer.ElapsedNanos());
+  ARTHAS_PHASE_RECORD("reactor.search.ns", kReactorSearch,
+                      search_timer.ElapsedNanos(), plan.size());
   ARTHAS_COUNTER_ADD("reactor.candidates.count", plan.size());
-  search_span.AddAttr("candidates", static_cast<uint64_t>(plan.size()));
-  search_span.Close();
   return plan;
 }
 
@@ -299,9 +294,7 @@ MitigationOutcome Reactor::Mitigate(const FaultInfo& fault, Tracer& tracer,
   }
 
   MitigationOutcome outcome;
-  ARTHAS_SCOPED_LATENCY("reactor.mitigate.ns");
-  ARTHAS_NAMED_SPAN(mitigate_span, "reactor.mitigate");
-  mitigate_span.AddAttr("fault", std::string(FailureKindName(fault.kind)));
+  ARTHAS_SCOPED_PHASE("reactor.mitigate.ns", kReactorMitigate);
   const VirtualTime start = clock.Now();
   const std::vector<PlannedCandidate> planned =
       PlanCandidates(fault, tracer, log, config, nullptr);
@@ -336,11 +329,10 @@ MitigationOutcome Reactor::Mitigate(const FaultInfo& fault, Tracer& tracer,
     }
     clock.Advance(config.reexecution_delay);
     outcome.reexecutions++;
-    ARTHAS_NAMED_SPAN(reexec_span, "reactor.reexecute");
     ScopedTimer reexec_timer;
     const RunObservation obs = reexecute();
-    ARTHAS_HISTOGRAM_RECORD("reactor.reexecute.ns",
-                            reexec_timer.ElapsedNanos());
+    ARTHAS_PHASE_RECORD("reactor.reexecute.ns", kReactorReexecute,
+                        reexec_timer.ElapsedNanos(), 0);
     return !obs.fault.has_value();
   };
 
@@ -378,7 +370,6 @@ MitigationOutcome Reactor::Mitigate(const FaultInfo& fault, Tracer& tracer,
         // exponentially while re-executions keep failing.
         batch_size = 1 << std::min(outcome.reexecutions, 12);
       }
-      ARTHAS_NAMED_SPAN(revert_span, "reactor.revert");
       ScopedTimer revert_timer;
       // Candidates whose reversion took effect in this batch; the verdict
       // of the next re-execution (cure vs no cure) is stamped on each.
@@ -436,9 +427,9 @@ MitigationOutcome Reactor::Mitigate(const FaultInfo& fault, Tracer& tracer,
           }
         }
       }
-      ARTHAS_HISTOGRAM_RECORD("reactor.revert.ns", revert_timer.ElapsedNanos());
+      ARTHAS_PHASE_RECORD("reactor.revert.ns", kReactorRevert,
+                          revert_timer.ElapsedNanos(), 0);
       ARTHAS_COUNTER_ADD("reactor.revert_attempts.count", 1);
-      revert_span.Close();
       const bool attempted = pending > 0;
       if (try_reexecution(pending)) {
         for (const SeqNum s : batch_reverted) {

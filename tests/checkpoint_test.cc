@@ -10,6 +10,8 @@
 
 #include "checkpoint/checkpoint_log.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
+#include "obs/resource/resource_accountant.h"
 #include "pmem/pool.h"
 #include "pmem/tx.h"
 
@@ -461,6 +463,35 @@ TEST_F(CheckpointTest, SerializeRestoreRoundTrip) {
   log_->Detach();  // only one log may act on the pool's state now
   ASSERT_TRUE(fresh.RevertSeq(fresh.NewestSeqAt(a.off)).ok());
   EXPECT_EQ(ReadBack(a), 1u);
+}
+
+// Restore replaces every version, so the published counts must follow it:
+// restoring a 2-version image over 14 versions reads 2 everywhere.
+TEST_F(CheckpointTest, RestoreRepublishesCounts) {
+#ifdef ARTHAS_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation macros are compiled out in this build";
+#endif
+  Oid a = *pool_->Zalloc(64);
+  WriteAndPersist(a, 1);
+  WriteAndPersist(a, 2);
+  const auto image = log_->Serialize();
+  for (int i = 0; i < 4; i++) {
+    Oid more = *pool_->Zalloc(64);
+    for (uint64_t v = 0; v < 3; v++) {
+      WriteAndPersist(more, v);
+    }
+  }
+  ASSERT_EQ(log_->retained_versions(), 14u);
+
+  ASSERT_TRUE(log_->Restore(image).ok());
+  EXPECT_EQ(log_->retained_versions(), 2u);
+  const obs::RegistrySnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snap.gauges.at("checkpoint.versions.retained"), 2);
+  EXPECT_EQ(snap.gauges.at("checkpoint.entries.count"), 1);
+  EXPECT_EQ(obs::ResourceAccountant::Global()
+                .GetCell("checkpoint.retained.versions", "count")
+                .value(),
+            2);
 }
 
 TEST_F(CheckpointTest, RestoreRejectsCorruptImages) {

@@ -3,15 +3,12 @@
 // links against a library built *with* observability — the compile-out is a
 // per-TU decision, not an ABI switch.
 
-#include <string>
-
 #include "gtest/gtest.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/profiler.h"
 #include "obs/reqtrace.h"
-#include "obs/span.h"
 #include "obs/timeseries.h"
 
 #ifndef ARTHAS_OBS_DISABLED
@@ -26,14 +23,12 @@ TEST(ObsDisabledTest, MacrosAreNoOps) {
   ARTHAS_GAUGE_SET("disabled.gauge", 5);
   ARTHAS_HISTOGRAM_RECORD("disabled.ns", 5);
   { ARTHAS_SCOPED_LATENCY("disabled.scoped.ns"); }
-  { ARTHAS_SPAN("disabled.span"); }
-  {
-    ARTHAS_NAMED_SPAN(span, "disabled.named");
-    span.AddAttr("k", std::string("v"));
-    span.AddAttr("n", uint64_t{1});
-    span.Close();
-    EXPECT_EQ(span.elapsed_ns(), 0);
-  }
+  // The phase macros compile out too: no histogram and no phase record.
+  const uint64_t phases_before =
+      obs::FlightRecorder::Phases().total_recorded();
+  { ARTHAS_SCOPED_PHASE("disabled.phase.ns", kHarnessCell); }
+  ARTHAS_PHASE_RECORD("disabled.record.ns", kReactorSlice, 5, 1);
+  EXPECT_EQ(obs::FlightRecorder::Phases().total_recorded(), phases_before);
   // The flight-record macro compiles out too: the marker address below
   // must not appear in the global recorder's timeline.
   constexpr uint64_t kMarkerAddr = 0xD15AB1EDULL;
@@ -41,15 +36,14 @@ TEST(ObsDisabledTest, MacrosAreNoOps) {
   for (const obs::FlightRecord& r : obs::FlightRecorder::Global().Snapshot()) {
     EXPECT_NE(r.addr, kMarkerAddr);
   }
-  // Nothing reached the global registry or span tracer.
+  // Nothing reached the global registry.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   EXPECT_FALSE(registry.Has("disabled.count"));
   EXPECT_FALSE(registry.Has("disabled.gauge"));
   EXPECT_FALSE(registry.Has("disabled.ns"));
   EXPECT_FALSE(registry.Has("disabled.scoped.ns"));
-  for (const obs::SpanEvent& event : obs::SpanTracer::Global().Snapshot()) {
-    EXPECT_NE(event.name.substr(0, 8), "disabled");
-  }
+  EXPECT_FALSE(registry.Has("disabled.phase.ns"));
+  EXPECT_FALSE(registry.Has("disabled.record.ns"));
 }
 
 TEST(ObsDisabledTest, ProfileMacroIsNoOp) {

@@ -1,7 +1,8 @@
 // Tests for the observability subsystem (src/obs): metric semantics,
-// histogram percentile accuracy, span nesting, the JSON round trip of both
-// artifacts, and the end-to-end acceptance path — one experiment cell run
-// through the artifact writer must yield the paper's headline metrics.
+// histogram percentile accuracy, the phase trace export, the JSON round
+// trip of the artifacts, and the end-to-end acceptance path — one
+// experiment cell run through the artifact writer must yield the paper's
+// headline metrics.
 
 #include <cstdio>
 #include <set>
@@ -12,11 +13,10 @@
 #include "gtest/gtest.h"
 #include "harness/artifacts.h"
 #include "harness/experiment.h"
-#include "harness/table.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/span.h"
 
 namespace arthas {
 namespace {
@@ -26,8 +26,6 @@ using obs::Gauge;
 using obs::Histogram;
 using obs::JsonValue;
 using obs::MetricsRegistry;
-using obs::SpanEvent;
-using obs::SpanTracer;
 
 TEST(CounterTest, Semantics) {
   Counter c;
@@ -251,84 +249,85 @@ TEST(RegistryTest, CounterDeltas) {
   EXPECT_EQ(deltas.at("e.count"), 2u);
 }
 
-TEST(SpanTest, NestingOrderAndDepth) {
-  SpanTracer& tracer = SpanTracer::Global();
-  tracer.Clear();
-  {
-    obs::ScopedSpan outer("outer");
-    {
-      obs::ScopedSpan inner("inner");
-      inner.AddAttr("k", std::string("v"));
+// The X events of the --trace-json artifact, in export order.
+std::vector<JsonValue> PhaseEvents(const JsonValue& trace) {
+  std::vector<JsonValue> out;
+  for (const JsonValue& ev : trace.Get("traceEvents")->items()) {
+    if (ev.Get("ph")->AsString() == "X") {
+      out.push_back(ev);
     }
   }
-  const std::vector<SpanEvent> events = tracer.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  // Spans are recorded at close: inner first.
-  EXPECT_EQ(events[0].name, "inner");
-  EXPECT_EQ(events[1].name, "outer");
-  EXPECT_EQ(events[0].depth, 1);
-  EXPECT_EQ(events[1].depth, 0);
-  EXPECT_GE(events[0].start_ns, events[1].start_ns);
-  EXPECT_LE(events[0].end_ns, events[1].end_ns);
-  ASSERT_EQ(events[0].attrs.size(), 1u);
-  EXPECT_EQ(events[0].attrs[0].first, "k");
+  return out;
 }
 
-TEST(SpanTest, ChromeJsonRoundTrip) {
+TEST(PhaseTraceTest, ExportsPhasesInCompletionOrder) {
 #ifdef ARTHAS_OBS_DISABLED
   GTEST_SKIP() << "instrumentation macros are compiled out in this build";
 #endif
-  SpanTracer& tracer = SpanTracer::Global();
-  tracer.Clear();
+  obs::FlightRecorder::Phases().Clear();
   {
-    ARTHAS_NAMED_SPAN(span, "phase.test");
-    span.AddAttr("items", uint64_t{3});
+    ARTHAS_SCOPED_PHASE("obs_test.outer.ns", kReactorMitigate);
+    ARTHAS_PHASE_RECORD("obs_test.slice.ns", kReactorSlice, 1500, 7);
+    ARTHAS_PHASE_RECORD("obs_test.revert.ns", kReactorRevert, 0, 0);
   }
-  auto parsed = JsonValue::Parse(tracer.ExportChromeJson());
+  auto parsed = JsonValue::Parse(TraceArtifactJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const JsonValue* events = parsed->Get("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is_array());
   // One process_name row, one thread_name row for the recording thread,
-  // then the span.
-  ASSERT_EQ(events->size(), 3u);
+  // then the phases.
+  ASSERT_EQ(events->size(), 5u);
   const JsonValue& process_meta = events->items()[0];
   EXPECT_EQ(process_meta.Get("name")->AsString(), "process_name");
   EXPECT_EQ(process_meta.Get("ph")->AsString(), "M");
   const JsonValue& meta = events->items()[1];
   EXPECT_EQ(meta.Get("name")->AsString(), "thread_name");
   EXPECT_EQ(meta.Get("ph")->AsString(), "M");
-  ASSERT_NE(meta.Get("args"), nullptr);
   EXPECT_FALSE(meta.Get("args")->Get("name")->AsString().empty());
-  const JsonValue& ev = events->items()[2];
-  EXPECT_EQ(ev.Get("name")->AsString(), "phase.test");
-  EXPECT_EQ(ev.Get("ph")->AsString(), "X");
-  EXPECT_GT(ev.Get("dur")->AsDouble(), 0.0);
-  EXPECT_EQ(ev.Get("args")->Get("items")->AsString(), "3");
-  // The span's tid matches its metadata row's tid.
-  EXPECT_EQ(ev.Get("tid")->AsDouble(), meta.Get("tid")->AsDouble());
+
+  // A phase lands when it closes: the nested ones precede the outer one.
+  const std::vector<JsonValue> phases = PhaseEvents(*parsed);
+  ASSERT_EQ(phases.size(), 3u);
+  EXPECT_EQ(phases[0].Get("name")->AsString(), "reactor.slice");
+  EXPECT_EQ(phases[1].Get("name")->AsString(), "reactor.revert");
+  EXPECT_EQ(phases[2].Get("name")->AsString(), "reactor.mitigate");
+  EXPECT_DOUBLE_EQ(phases[0].Get("dur")->AsDouble(), 1.5);
+  EXPECT_EQ(phases[0].Get("args")->Get("instructions")->AsInt(), 7);
+  // Zero-length phases are floored at 1 ns so viewers keep them.
+  EXPECT_DOUBLE_EQ(phases[1].Get("dur")->AsDouble(), 0.001);
+  EXPECT_FALSE(phases[1].Has("args"));
+  EXPECT_GT(phases[2].Get("dur")->AsDouble(), 0.0);
+  for (const JsonValue& ev : phases) {
+    EXPECT_EQ(ev.Get("tid")->AsDouble(), meta.Get("tid")->AsDouble());
+    EXPECT_GE(ev.Get("ts")->AsDouble(), 0.0);
+  }
+  // Each phase site also feeds its histogram.
+  const obs::RegistrySnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_GE(snap.histograms.at("obs_test.outer.ns").count, 1u);
+  EXPECT_GE(snap.histograms.at("obs_test.slice.ns").count, 1u);
 }
 
-TEST(SpanTest, ChromeMetadataRowsAreUnique) {
+TEST(PhaseTraceTest, ChromeMetadataRowsAreUnique) {
 #ifdef ARTHAS_OBS_DISABLED
   GTEST_SKIP() << "instrumentation macros are compiled out in this build";
 #endif
-  SpanTracer& tracer = SpanTracer::Global();
-  tracer.Clear();
-  std::thread t1([] { ARTHAS_SPAN("meta.t1"); });
-  std::thread t2([] { ARTHAS_SPAN("meta.t2"); });
+  obs::FlightRecorder::Phases().Clear();
+  std::thread t1([] { ARTHAS_SCOPED_PHASE("obs_test.t1.ns", kHarnessCell); });
+  std::thread t2([] { ARTHAS_SCOPED_PHASE("obs_test.t2.ns", kHarnessCell); });
   t1.join();
   t2.join();
-  { ARTHAS_SPAN("meta.main"); }
+  { ARTHAS_SCOPED_PHASE("obs_test.main.ns", kHarnessCell); }
+  // A thread that records only durability events gets no track.
+  std::thread([] {
+    obs::FlightRecorder::Global().Record(obs::FrType::kFlush, 0, 0, 64, 0);
+  }).join();
 
-  auto parsed = JsonValue::Parse(tracer.ExportChromeJson());
+  auto parsed = JsonValue::Parse(TraceArtifactJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue* events = parsed->Get("traceEvents");
-  ASSERT_NE(events, nullptr);
   int process_rows = 0;
   std::set<double> thread_meta_tids;
   std::set<double> event_tids;
-  for (const JsonValue& ev : events->items()) {
+  for (const JsonValue& ev : parsed->Get("traceEvents")->items()) {
     const std::string& name = ev.Get("name")->AsString();
     if (ev.Get("ph")->AsString() == "M") {
       if (name == "process_name") {
@@ -345,21 +344,31 @@ TEST(SpanTest, ChromeMetadataRowsAreUnique) {
   }
   // process_name appears exactly once regardless of thread count.
   EXPECT_EQ(process_rows, 1);
-  // Every labeled thread actually has events, and every event's thread is
-  // labeled: threads with no recorded spans get no thread_name row.
+  // Every labeled thread has phases, and every phase's thread is labeled.
   EXPECT_EQ(thread_meta_tids, event_tids);
-  EXPECT_GE(event_tids.size(), 2u);  // at least the two worker threads
+  EXPECT_EQ(event_tids.size(), 3u);
+  EXPECT_FALSE(parsed->Has("otherData"));
 }
 
-TEST(SpanTest, DisabledTracerRecordsNothing) {
-  SpanTracer& tracer = SpanTracer::Global();
-  tracer.Clear();
-  tracer.set_enabled(false);
-  {
-    ARTHAS_SPAN("invisible");
-  }
-  tracer.set_enabled(true);
-  EXPECT_EQ(tracer.size(), 0u);
+TEST(PhaseTraceTest, ReportsPhasesLostToWraparound) {
+  obs::FlightRecorder& phases = obs::FlightRecorder::Phases();
+  phases.Clear();
+  const size_t capacity = phases.ring_capacity();
+  std::thread([capacity] {
+    for (size_t i = 0; i < capacity + 3; i++) {
+      obs::RecordPhase(obs::FrPhase::kReactorSearch, 10, i);
+    }
+  }).join();
+
+  auto parsed = JsonValue::Parse(TraceArtifactJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::vector<JsonValue> events = PhaseEvents(*parsed);
+  ASSERT_EQ(events.size(), capacity);
+  // The ring kept the newest phases; the three oldest are counted as lost.
+  EXPECT_EQ(events.front().Get("args")->Get("candidates")->AsInt(), 3);
+  ASSERT_TRUE(parsed->Has("otherData"));
+  EXPECT_EQ(parsed->Get("otherData")->Get("dropped_phases")->AsInt(), 3);
+  phases.Clear();
 }
 
 TEST(ObsMacrosTest, RecordIntoGlobalRegistry) {
@@ -389,7 +398,7 @@ TEST(ArtifactsTest, ExperimentCellProducesAcceptanceMetrics) {
   GTEST_SKIP() << "instrumentation macros are compiled out in this build";
 #endif
   ClearCellRecords();
-  obs::SpanTracer::Global().Clear();
+  obs::FlightRecorder::Phases().Clear();
 
   const ExperimentResult result =
       RunCell(FaultId::kF1RefcountOverflow, Solution::kArthas);
@@ -397,9 +406,12 @@ TEST(ArtifactsTest, ExperimentCellProducesAcceptanceMetrics) {
 
   const std::string metrics_path = ::testing::TempDir() + "obs_metrics.json";
   const std::string trace_path = ::testing::TempDir() + "obs_trace.json";
-  const char* argv[] = {"obs_test", "--metrics-json", metrics_path.c_str(),
-                        "--trace-json", trace_path.c_str()};
-  ObsArtifactWriter writer(5, const_cast<char**>(argv));
+  const std::string summary_path = ::testing::TempDir() + "obs_summary.txt";
+  const char* argv[] = {"obs_test",           "--metrics-json",
+                        metrics_path.c_str(), "--trace-json",
+                        trace_path.c_str(),   "--metrics-summary",
+                        summary_path.c_str()};
+  ObsArtifactWriter writer(7, const_cast<char**>(argv));
   ASSERT_TRUE(writer.WriteNow().ok());
 
   auto slurp = [](const std::string& path) {
@@ -473,9 +485,12 @@ TEST(ArtifactsTest, ExperimentCellProducesAcceptanceMetrics) {
   EXPECT_TRUE(saw_slice);
   EXPECT_TRUE(saw_thread_meta);
 
-  // The text summary renders without dying and mentions the histograms.
-  const std::string summary = RenderMetricsSummary();
+  // --- Text summary ---------------------------------------------------------
+  // Its latency table has a row per phase histogram, the cell's included.
+  const std::string summary = slurp(summary_path);
   EXPECT_NE(summary.find("checkpoint.serialize.ns"), std::string::npos);
+  EXPECT_NE(summary.find("reactor.revert.ns"), std::string::npos);
+  EXPECT_NE(summary.find("harness.cell.ns"), std::string::npos);
 }
 
 }  // namespace

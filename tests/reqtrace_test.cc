@@ -2,7 +2,8 @@
 // timestamps, id assignment, ring wraparound accounting, slowest-request
 // reservoir ordering, mitigation-window reassignment, a multi-thread
 // commit/snapshot race (the TSan job runs this file), ring reuse across
-// exiting threads, and equivalence with a reference model of the lifecycle
+// exiting threads, one thread number shared with the flight recorder, and
+// equivalence with a reference model of the lifecycle
 // that built each trace under the request lock.
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/flight_recorder.h"
 #include "obs/reqtrace.h"
 
 namespace arthas {
@@ -309,6 +311,37 @@ TEST(ReqTraceTest, ThreadOutlivingItsPlaneTouchesNoFreedMemory) {
   RequestTracePlane next(16);
   CommitTrace(next, 2, /*origin=*/0, 1000, 1100);
   EXPECT_EQ(next.SnapshotRings().size(), 1u);
+}
+
+// A thread carries one number in the trace plane and the flight recorder,
+// so a TRACE autopsy joins the forensics report's last_writer_tid. Thread A
+// records a flight event only: with a counter per plane it would shift the
+// two apart, and B1 or B2 would disagree.
+TEST(ReqTraceTest, TraceTidIsTheFlightRecorderThreadNumber) {
+  FlightRecorder recorder(16);
+  RequestTracePlane plane(16);
+  auto record_and_trace = [&recorder, &plane](uint64_t id) {
+    recorder.Record(FrType::kPersist, 1, /*addr=*/id, 8, 0);
+    CommitTrace(plane, id, /*origin=*/0, 1000, 1100);
+  };
+  std::thread(record_and_trace, 1).join();  // B1
+  std::thread([&recorder] {
+    recorder.Record(FrType::kPersist, 1, /*addr=*/99, 8, 0);
+  }).join();                                // A
+  std::thread(record_and_trace, 2).join();  // B2
+
+  std::vector<uint16_t> recorder_tid(3);
+  for (const FlightRecord& r : recorder.Snapshot()) {
+    if (r.addr < recorder_tid.size()) {
+      recorder_tid[r.addr] = r.tid;
+    }
+  }
+  for (uint64_t id = 1; id <= 2; id++) {
+    RequestTrace trace;
+    ASSERT_TRUE(plane.FindTrace(id, &trace));
+    EXPECT_NE(trace.tid, 0);
+    EXPECT_EQ(trace.tid, recorder_tid[id]) << "thread B" << id;
+  }
 }
 
 // The lifecycle as it was before the plane recorded raw stamps under the
