@@ -514,31 +514,58 @@ void CheckpointLog::RefreshAddressViewLocked() const {
   std::sort(address_view_.begin(), address_view_.end());
 }
 
-std::vector<const CheckpointEntry*> CheckpointLog::Overlapping(
-    PmOffset offset, size_t size) const {
+std::vector<const CheckpointEntry*> CheckpointLog::JoinAddressView(
+    std::span<const PmOffset> starts, size_t size) const {
+  assert(std::is_sorted(starts.begin(), starts.end()));
   std::vector<const CheckpointEntry*> out;
   std::lock_guard<std::mutex> view_lock(view_mutex_);
   RefreshAddressViewLocked();
-  // Only entries starting less than max_extent below `offset` can reach it.
+  // Only entries starting less than max_extent below a range can reach it.
   const size_t max_extent = max_extent_.load();
-  const PmOffset first = offset >= max_extent ? offset - max_extent + 1 : 0;
-  auto it = std::lower_bound(
-      address_view_.begin(), address_view_.end(), first,
-      [](const std::pair<PmOffset, const CheckpointEntry*>& e, PmOffset a) {
-        return e.first < a;
-      });
-  for (; it != address_view_.end() && it->first < offset + size; ++it) {
-    const CheckpointEntry& entry = *it->second;
-    std::lock_guard<std::mutex> lock(ShardFor(entry.address).mutex);
-    const size_t extent = std::max(entry.original.size(),
-                                   entry.versions.empty()
-                                       ? size_t{0}
-                                       : entry.versions.back().data.size());
-    if (offset < entry.address + extent) {
-      out.push_back(&entry);
+  auto entry = address_view_.cbegin();
+  const auto view_end = address_view_.cend();
+  auto start = starts.begin();
+  while (start != starts.end() && entry != view_end) {
+    // Every range before `start` ends at or before the entry (the cursor
+    // only moves forward), so `start` is the first range it can overlap:
+    // if the entry does not reach it, it reaches no later one either.
+    if (entry->first >= *start + size) {
+      ++start;
+      continue;
     }
+    const PmOffset window = *start >= max_extent ? *start - max_extent + 1 : 0;
+    if (entry->first < window) {
+      entry = std::lower_bound(
+          entry, view_end, window,
+          [](const std::pair<PmOffset, const CheckpointEntry*>& e,
+             PmOffset a) { return e.first < a; });
+      continue;
+    }
+    const CheckpointEntry& candidate = *entry->second;
+    size_t extent;
+    {
+      std::lock_guard<std::mutex> lock(ShardFor(candidate.address).mutex);
+      extent = std::max(candidate.original.size(),
+                        candidate.versions.empty()
+                            ? size_t{0}
+                            : candidate.versions.back().data.size());
+    }
+    if (*start < candidate.address + extent) {
+      out.push_back(&candidate);
+    }
+    ++entry;
   }
   return out;
+}
+
+std::vector<const CheckpointEntry*> CheckpointLog::OverlappingAny(
+    std::span<const PmOffset> addresses) const {
+  return JoinAddressView(addresses, 1);
+}
+
+std::vector<const CheckpointEntry*> CheckpointLog::Overlapping(
+    PmOffset offset, size_t size) const {
+  return JoinAddressView({&offset, 1}, size);
 }
 
 std::optional<std::pair<PmOffset, int>> CheckpointLog::LocateSeq(

@@ -35,9 +35,10 @@
 //     is a sorted vector, not a map.
 //   * Observer callbacks (OnPersist/OnAlloc/...) are thread-safe. Lock
 //     order: device stripes -> entry shard -> aux mutex (allocation and
-//     transaction maps). The address-view mutex is taken only by
-//     Overlapping and Restore, before any shard mutex, and never by an
-//     observer callback, so the persist path does not pay for the view.
+//     transaction maps). The address-view mutex is taken only by the
+//     OverlappingAny/Overlapping walk and Restore, before any shard mutex,
+//     and never by an observer callback, so the persist path does not pay
+//     for the view.
 //   * Transaction attribution is per-thread: begin/persist/commit of one
 //     transaction run on the thread executing it. seq->tx pairs are staged
 //     in a thread-local buffer (no lock on the persist path) and published
@@ -49,9 +50,10 @@
 //     threads before reverting, as a real recovery process owns the pool
 //     exclusively. They touch the device's raw-restore path, which must not
 //     run under shard locks (it takes device stripes).
-//   * Find/Overlapping return pointers into the log; entries are never
-//     erased (only Restore replaces them), so the pointers stay valid, but
-//     reading them races with concurrent flushers — reactor-side use only.
+//   * Find/Overlapping/OverlappingAny return pointers into the log; entries
+//     are never erased (only Restore replaces them), so the pointers stay
+//     valid, but reading them races with concurrent flushers — reactor-side
+//     use only.
 //   * PayloadRef views (CheckpointVersion::data/pre) borrow arena storage:
 //     a view stays valid until its version is evicted from the ring or
 //     discarded by a reversion (the span is then recycled). Snapshots from
@@ -70,6 +72,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -283,10 +286,21 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // Entry at exactly `address`, or nullptr.
   const CheckpointEntry* Find(PmOffset address) const;
 
+  // The trace ⋈ checkpoint join: every entry whose recorded range contains
+  // at least one of `addresses` (sorted ascending), each once, in address
+  // order — exactly the union of Overlapping(a, 1) over the addresses. One
+  // merge pass over the address view (see address_view_) reads each
+  // entry's extent at most once, under its shard lock, and jumps by binary
+  // search past entries that start max_extent or more below the next
+  // address, so a sparse address set costs a binary search per address
+  // and a dense one at most one visit per entry. The first call after new
+  // entries appear re-sorts every entry into the view.
+  std::vector<const CheckpointEntry*> OverlappingAny(
+      std::span<const PmOffset> addresses) const;
+
   // Entries whose recorded range overlaps [offset, offset+size), in address
-  // order: a binary search plus a short walk over the address view (see
-  // address_view_). The first call after new entries appear re-sorts every
-  // entry into the view.
+  // order: the one-range case of OverlappingAny's walk (the at-fault
+  // lookup).
   std::vector<const CheckpointEntry*> Overlapping(PmOffset offset,
                                                   size_t size) const;
 
@@ -370,7 +384,8 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
     // erased, so no tombstones. Rebuilt in place when load passes 3/4.
     std::vector<uint32_t> buckets;
     // Append-only entry storage. A deque keeps entry addresses stable, so
-    // Find/Overlapping pointers survive rehashes and new inserts.
+    // Find/Overlapping/OverlappingAny pointers survive rehashes and new
+    // inserts.
     std::deque<CheckpointEntry> slots;
     // (seq, entry address) pairs in seq order — seqs are allocated under
     // the shard mutex, so plain append keeps this sorted and LocateSeq is
@@ -429,6 +444,10 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // Brings address_view_ up to date with the entries. Requires view_mutex_;
   // takes each shard mutex in turn.
   void RefreshAddressViewLocked() const;
+  // The walk behind OverlappingAny and Overlapping: entries overlapping any
+  // of the ranges [start, start + size), `starts` sorted ascending.
+  std::vector<const CheckpointEntry*> JoinAddressView(
+      std::span<const PmOffset> starts, size_t size) const;
 
   // State of the entry's extent after its first `upto` retained versions,
   // respecting the address's allocation epoch.
@@ -472,12 +491,12 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   std::atomic<uint64_t> arena_bytes_{0};
   std::atomic<uint64_t> index_bytes_{0};
   // Largest extent any entry ever reached: an entry that can overlap an
-  // address starts less than this far below it (bounds the Overlapping
+  // address starts less than this far below it (bounds the address-view
   // walk).
   std::atomic<size_t> max_extent_{0};
   // Every entry as (address, entry), sorted by address. Entries are never
   // erased outside Restore, so the view is complete exactly when it holds
-  // entry_count_ of them; the first Overlapping after new entries appear
+  // entry_count_ of them; the first walk after new entries appear
   // rebuilds it, and Restore, which replaces the entries it points to,
   // empties it.
   mutable std::mutex view_mutex_;

@@ -261,39 +261,54 @@ void PmemDevice::ClearPending() {
   pending_hi_.store(0, std::memory_order_relaxed);
 }
 
+bool PmemDevice::LineStaged(uint64_t line) const {
+  return (pending_words_[line / 64].load(std::memory_order_relaxed) &
+          (1ULL << (line % 64))) != 0;
+}
+
 void PmemDevice::Crash() {
   // Take every stripe so the unflushed-line set is consistent: concurrent
   // persists are either fully durable or fully discarded.
   StripeGuard guard(*this, 0, live_.size());
-#ifndef ARTHAS_OBS_DISABLED
-  // Count the cache lines whose writes never reached the durable image —
-  // the data a real power failure would discard — and leave one flight
-  // record per lost line so post-crash forensics can name it. The pending
-  // bitmap (still intact here) distinguishes a line that was staged by a
-  // clwb but never fenced (missing drain) from one no flush ever covered.
-  // The scan is obs-only work and compiles out with the instrumentation.
-  uint64_t discarded_lines = 0;
-  for (size_t off = 0; off < live_.size(); off += kCacheLineSize) {
-    const size_t n = std::min(kCacheLineSize, live_.size() - off);
-    if (std::memcmp(live_.data() + off, durable_.data() + off, n) != 0) {
+  // One pass restores exactly the cache lines whose writes never reached
+  // the durable image — the data a real power failure would discard. The
+  // images are compared a page at a time, and only inside a page that
+  // differs is each line compared, counted, recorded and restored, so a
+  // restart costs one compare of the two images plus a copy of the lost
+  // lines. Each lost line leaves one flight record, in address order, so
+  // post-crash forensics can name it; the pending bitmap (cleared only
+  // after the pass) distinguishes a line that was staged by a clwb but
+  // never fenced (missing drain) from one no flush ever covered.
+  static_assert(kCrashCompareBytes % kCacheLineSize == 0,
+                "a line never straddles two compare pages");
+  uint8_t* const live = live_.data();
+  const uint8_t* const durable = durable_.data();
+  const size_t size = live_.size();
+  [[maybe_unused]] uint64_t discarded_lines = 0;
+  for (size_t page = 0; page < size; page += kCrashCompareBytes) {
+    const size_t page_end = std::min(page + kCrashCompareBytes, size);
+    if (std::memcmp(live + page, durable + page, page_end - page) == 0) {
+      continue;
+    }
+    for (size_t off = page; off < page_end; off += kCacheLineSize) {
+      const size_t n = std::min(kCacheLineSize, page_end - off);
+      if (std::memcmp(live + off, durable + off, n) == 0) {
+        continue;
+      }
+      std::memcpy(live + off, durable + off, n);
       discarded_lines++;
-      const uint64_t line = off / kCacheLineSize;
-      const bool staged =
-          (pending_words_[line / 64].load(std::memory_order_relaxed) &
-           (1ULL << (line % 64))) != 0;
       ARTHAS_FLIGHT_RECORD(obs::FrType::kLineLost, device_id_, off,
                            kCacheLineSize, 0,
-                           staged ? obs::FrReason::kFlushedNotDrained
-                                  : obs::FrReason::kNeverFlushed);
+                           LineStaged(off / kCacheLineSize)
+                               ? obs::FrReason::kFlushedNotDrained
+                               : obs::FrReason::kNeverFlushed);
     }
   }
   ARTHAS_COUNTER_ADD("pmem.crash.count", 1);
   ARTHAS_COUNTER_ADD("pmem.crash_discarded.lines", discarded_lines);
   ARTHAS_FLIGHT_RECORD(obs::FrType::kCrash, device_id_, 0, 0,
                        discarded_lines);
-#endif
   ClearPending();
-  std::memcpy(live_.data(), durable_.data(), live_.size());
   image_generation_.fetch_add(1, std::memory_order_release);
   stats_.crashes++;
 }

@@ -178,8 +178,14 @@ class PmemDevice {
   // True when the calling thread is inside a BatchScope for this device.
   bool InThreadBatch() const;
 
-  // Discards all non-durable state: the live image is rebuilt from the
+  // Discards all non-durable state: afterwards the live image equals the
   // durable image. This is what a process restart or power failure does.
+  // It is one pass over the two images, a page at a time: a page that is
+  // equal is neither copied nor examined further, and inside a page that
+  // differs each line that differs is restored from the durable image,
+  // counted, and recorded as a `line_lost` flight record in address order
+  // (a partial last line included). Only the records and counters compile
+  // out under ARTHAS_OBS_DISABLED; the pass is the same in every build.
   // Takes every stripe, so the discarded (unflushed) line set is consistent:
   // concurrent persists are either fully durable or fully discarded.
   // Not linearizable with an in-flight Drain (quiesce flushers first, as
@@ -262,6 +268,10 @@ class PmemDevice {
     uint64_t mask_ = 0;  // bit i set => stripes_[i] held
   };
 
+  // Crash() compares the images this many bytes at a time before it looks
+  // at single lines. A multiple of kCacheLineSize.
+  static constexpr size_t kCrashCompareBytes = 4096;
+
   // Caller must hold the stripes covering the range.
   void MakeDurable(PmOffset offset, size_t size);
   void NotifyAndMakeDurable(PmOffset offset, size_t size);
@@ -269,6 +279,8 @@ class PmemDevice {
   // Resets the staged-line bitmap and its scan watermarks. Caller must have
   // quiesced flushers (Crash/RestoreDurable/LoadFromFile hold every stripe).
   void ClearPending();
+  // True when cache line `line` is flushed but not yet drained.
+  bool LineStaged(uint64_t line) const;
 
   std::vector<uint8_t> live_;
   std::vector<uint8_t> durable_;

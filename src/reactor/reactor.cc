@@ -11,6 +11,27 @@
 
 namespace arthas {
 
+namespace {
+// The trace ⋈ checkpoint join: every log entry overlapping an address one
+// of `guids` touched, each once, in address order. The addresses are
+// gathered, sorted and de-duplicated first, so the log answers them all in
+// one merge pass over its address view.
+template <typename Guids>
+std::vector<const CheckpointEntry*> JoinTrace(const Guids& guids,
+                                              Tracer& tracer,
+                                              const CheckpointLog& log) {
+  std::vector<PmOffset> addresses;
+  for (const Guid guid : guids) {
+    const std::vector<PmOffset> touched = tracer.AddressesForGuid(guid);
+    addresses.insert(addresses.end(), touched.begin(), touched.end());
+  }
+  std::sort(addresses.begin(), addresses.end());
+  addresses.erase(std::unique(addresses.begin(), addresses.end()),
+                  addresses.end());
+  return log.OverlappingAny(addresses);
+}
+}  // namespace
+
 Reactor::Reactor(const IrModule& model, const GuidRegistry& registry)
     : model_(model), registry_(registry) {
   const int64_t t0 = MonotonicNanos();
@@ -54,42 +75,38 @@ std::vector<Reactor::PlannedCandidate> Reactor::PlanCandidates(
   // checkpoint log to build the candidate list (paper Section 4.4).
   ScopedTimer search_timer;
   // Every retained version of every entry overlapping an address a slice
-  // node touched. Many addresses land in one entry; its versions (and its
-  // realloc history) are read once.
+  // node touched, from one join of those addresses with the log. Many
+  // addresses land in one entry; the join returns it (and so its versions
+  // and its realloc history) once.
+  std::vector<Guid> slice_guids;
+  size_t slice_rank = 0;
+  for (const IrInstruction* node : slice.instructions) {
+    if (slice_rank++ > config.max_slice_distance) {
+      break;  // policy function: cap the node's rank in the slice
+    }
+    if (node->guid() != kNoGuid) {
+      slice_guids.push_back(node->guid());
+    }
+  }
   std::vector<PlannedCandidate> plan;
   auto append_versions = [&plan](const CheckpointEntry& entry) {
     for (const CheckpointVersion& version : entry.versions) {
       plan.push_back({version.seq_num, entry.address});
     }
   };
-  std::unordered_set<const CheckpointEntry*> joined;
-  size_t distance = 0;
-  for (const IrInstruction* node : slice.instructions) {
-    if (distance++ > config.max_slice_distance) {
-      break;  // policy function: cap slice distance from the fault
-    }
-    if (node->guid() == kNoGuid) {
-      continue;
-    }
-    for (const PmOffset address : tracer.AddressesForGuid(node->guid())) {
-      for (const CheckpointEntry* entry : log.Overlapping(address, 1)) {
-        if (!joined.insert(entry).second) {
-          continue;
-        }
-        append_versions(*entry);
-        // Follow reallocation links (Figure 5's old_entry field, detailed
-        // in the technical report): a resized persistent block's earlier
-        // history lives at its previous addresses.
-        const CheckpointEntry* older = entry;
-        for (int hops = 0;
-             older->old_entry != kNullPmOffset && hops < 16; hops++) {
-          older = log.Find(older->old_entry);
-          if (older == nullptr) {
-            break;
-          }
-          append_versions(*older);
-        }
+  for (const CheckpointEntry* entry : JoinTrace(slice_guids, tracer, log)) {
+    append_versions(*entry);
+    // Follow reallocation links (Figure 5's old_entry field, detailed in the
+    // technical report): a resized persistent block's earlier history lives
+    // at its previous addresses.
+    const CheckpointEntry* older = entry;
+    for (int hops = 0; older->old_entry != kNullPmOffset && hops < 16;
+         hops++) {
+      older = log.Find(older->old_entry);
+      if (older == nullptr) {
+        break;
       }
+      append_versions(*older);
     }
   }
   // Default policy function: sorted, de-duplicated, newest first so the
@@ -195,14 +212,11 @@ uint64_t Reactor::RevertCandidate(SeqNum seq, Tracer& tracer,
       }
     }
     std::set<SeqNum> forward;
-    for (const Guid guid : forward_guids) {
-      for (const PmOffset addr : tracer.AddressesForGuid(guid)) {
-        for (const CheckpointEntry* entry : log.Overlapping(addr, 1)) {
-          for (const CheckpointVersion& v : entry->versions) {
-            if (v.seq_num > seq && v.seq_num <= seq + kForwardWindow) {
-              forward.insert(v.seq_num);
-            }
-          }
+    for (const CheckpointEntry* entry :
+         JoinTrace(forward_guids, tracer, log)) {
+      for (const CheckpointVersion& v : entry->versions) {
+        if (v.seq_num > seq && v.seq_num <= seq + kForwardWindow) {
+          forward.insert(v.seq_num);
         }
       }
     }

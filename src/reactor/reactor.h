@@ -23,10 +23,10 @@
 // expensive static work (pointer analysis, PDG) once. A Mitigate() call
 // still does more than slicing on its critical path: the slice costs about
 // 0.1 ms, but the search that joins it with the trace and the checkpoint
-// log (once for the plan, and again for each purge forward pass) visits
-// every address the slice's instructions touched. The log's address view
-// keeps each visit a binary search (DESIGN.md §3b "Trace ⋈ checkpoint
-// join").
+// log (once for the plan, and again for each purge forward pass) covers
+// every address the slice's instructions touched. Each join sorts those
+// addresses and answers them in one merge pass over the log's address view
+// (DESIGN.md §3b "Trace ⋈ checkpoint join").
 
 #ifndef ARTHAS_REACTOR_REACTOR_H_
 #define ARTHAS_REACTOR_REACTOR_H_
@@ -77,8 +77,12 @@ struct ReactorConfig {
   // Retry depth through older checkpoint versions (paper default 3).
   int max_versions = 3;
 
-  // Policy function: drop slice nodes further than this (BFS hops over
-  // retained nodes) from the fault instruction. SIZE_MAX keeps everything.
+  // Policy function: cap a node's rank in the persistent backward slice,
+  // whose nodes are listed in BFS order from the fault instruction (rank
+  // 0). Nodes of rank <= max_slice_distance are used, so the cap keeps
+  // max_slice_distance + 1 nodes; it is not a hop count, so two nodes the
+  // same number of hops away have different ranks and the cap can keep one
+  // and drop the other. SIZE_MAX keeps everything.
   size_t max_slice_distance = static_cast<size_t>(-1);
 
   // Try candidates recorded at the faulting PM address first (available

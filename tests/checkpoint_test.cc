@@ -348,6 +348,152 @@ TEST_F(CheckpointTest, OverlappingRunsAlongsideConcurrentPersists) {
   }
 }
 
+// The union of LinearOverlapping(log, a, 1) over `addresses`: each entry
+// once, in address order.
+std::vector<const CheckpointEntry*> LinearUnion(
+    const CheckpointLog& log, const std::vector<PmOffset>& addresses) {
+  std::vector<const CheckpointEntry*> out;
+  for (const PmOffset address : addresses) {
+    for (const CheckpointEntry* entry : LinearOverlapping(log, address, 1)) {
+      out.push_back(entry);
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const CheckpointEntry* a, const CheckpointEntry* b) {
+              return a->address < b->address;
+            });
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::vector<PmOffset> SortedUnique(std::vector<PmOffset> addresses) {
+  std::sort(addresses.begin(), addresses.end());
+  addresses.erase(std::unique(addresses.begin(), addresses.end()),
+                  addresses.end());
+  return addresses;
+}
+
+TEST_F(CheckpointTest, OverlappingAnyMatchesUnionOfLinearScans) {
+  const size_t pool_bytes = pool_->device().size();
+  Rng rng(20210427);
+  std::vector<std::pair<Oid, size_t>> objects;
+  auto persist = [&](const Oid& oid, size_t offset, size_t size) {
+    for (size_t i = 0; i < size; i++) {
+      pool_->Direct<uint8_t>(oid)[offset + i] =
+          static_cast<uint8_t>(rng.NextU64());
+    }
+    pool_->Persist(oid, offset, size);
+  };
+  for (int round = 0; round < 6; round++) {
+    for (int i = 0; i < 10; i++) {
+      const size_t size = 16 + rng.NextBelow(513);
+      const Oid oid = *pool_->Zalloc(size);
+      objects.push_back({oid, size});
+      // The whole object once, then fields every 8 or 64 bytes: the entry at
+      // the object's start is wider than the spacing of the entries inside
+      // it, so a walk must not skip it on the way to its neighbours.
+      persist(oid, 0, size);
+      const size_t step = rng.NextBool(0.5) ? 8 : 64;
+      for (size_t field = step; field + 8 <= size; field += step) {
+        if (rng.NextBool(0.7)) {
+          persist(oid, field, 8);
+        }
+      }
+    }
+    // A zero-extent entry, which overlaps no address at all, inside the
+    // newest object.
+    const auto& [last, last_size] = objects.back();
+    const PmOffset empty_at = last.off + 8 * rng.NextBelow(last_size / 8) + 3;
+    log_->OnPersist(empty_at, 0, pool_->device().Live(empty_at));
+    ASSERT_NE(log_->Find(empty_at), nullptr);
+    // Reallocations link a new, wider entry to the old one's history.
+    for (int i = 0; i < 2; i++) {
+      const size_t index = rng.NextBelow(objects.size());
+      const size_t size = 1024 + rng.NextBelow(1024);
+      auto grown = pool_->Realloc(objects[index].first, size);
+      ASSERT_TRUE(grown.ok());
+      objects[index] = {*grown, size};
+      persist(*grown, 0, 8);
+    }
+
+    std::vector<std::vector<PmOffset>> queries;
+    queries.push_back({});
+    queries.push_back({empty_at});
+    for (const size_t count : {1, 8, 64, 512}) {  // sparse to medium
+      std::vector<PmOffset> addresses;
+      for (size_t i = 0; i < count; i++) {
+        addresses.push_back(rng.NextBelow(pool_bytes));
+      }
+      queries.push_back(SortedUnique(std::move(addresses)));
+    }
+    // Both edges of every entry.
+    std::vector<PmOffset> edges;
+    log_->ForEachEntry([&edges](const CheckpointEntry& entry) {
+      const size_t extent = entry.original.size();
+      for (const PmOffset at : {entry.address - 1, entry.address,
+                                entry.address + extent - 1,
+                                entry.address + extent}) {
+        edges.push_back(at);
+      }
+    });
+    queries.push_back(SortedUnique(std::move(edges)));
+    // Dense: every byte, and every 8th byte, of a window around an object.
+    const PmOffset around = objects[rng.NextBelow(objects.size())].first.off;
+    const PmOffset from = around >= 512 ? around - 512 : 0;
+    for (const size_t stride : {1, 8}) {
+      std::vector<PmOffset> addresses;
+      for (PmOffset a = from; a < from + 2048 * stride && a < pool_bytes;
+           a += stride) {
+        addresses.push_back(a);
+      }
+      queries.push_back(std::move(addresses));
+    }
+    for (const std::vector<PmOffset>& addresses : queries) {
+      ASSERT_EQ(log_->OverlappingAny(addresses),
+                LinearUnion(*log_, addresses))
+          << "round " << round << ", " << addresses.size() << " addresses";
+    }
+  }
+}
+
+TEST_F(CheckpointTest, OverlappingAnyRunsAlongsideConcurrentPersists) {
+  // The join rebuilds and walks the address view while writer threads
+  // persist and create entries, as in OverlappingRunsAlongsideConcurrent-
+  // Persists; the thread-sanitizer job runs this test too.
+  constexpr size_t kWriters = 2;
+  constexpr size_t kObjects = 64;
+  std::vector<Oid> objects;
+  std::vector<PmOffset> addresses;
+  for (size_t i = 0; i < kWriters * kObjects; i++) {
+    objects.push_back(*pool_->Zalloc(64));
+    for (PmOffset at = 4; at < 64; at += 24) {
+      addresses.push_back(objects.back().off + at);
+    }
+  }
+  addresses = SortedUnique(std::move(addresses));
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; w++) {
+    writers.emplace_back([&, w] {
+      for (size_t round = 0; !stop.load(); round++) {
+        pool_->Persist(objects[w * kObjects + round % kObjects],
+                       8 * (round / kObjects % 8), 8);
+      }
+    });
+  }
+  size_t hits = 0;
+  for (size_t i = 0; i < 500 || log_->entry_count() < 8 * objects.size();
+       i++) {
+    hits += log_->OverlappingAny(addresses).size();
+  }
+  stop = true;
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(log_->OverlappingAny(addresses), LinearUnion(*log_, addresses));
+}
+
 TEST_F(CheckpointTest, LocateSeqFindsEntryAndVersion) {
   Oid oid = *pool_->Zalloc(64);
   WriteAndPersist(oid, 1);

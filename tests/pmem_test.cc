@@ -1,5 +1,6 @@
 // Unit tests for the simulated PM device and the pool allocator/transactions.
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <random>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "pmem/device.h"
 #include "pmem/libpmem.h"
 #include "pmem/pool.h"
@@ -179,6 +181,102 @@ TEST(PmemDeviceTest, WholesaleImageReplacementsBumpTheGeneration) {
   gen = dev.image_generation();
   ASSERT_TRUE(dev.LoadFromFile(path).ok());
   EXPECT_GT(dev.image_generation(), gen);
+}
+
+// Crash() against a naive reference: one scan that compares every cache
+// line of the two images. The device size is a multiple of neither a
+// 4 KB page nor a cache line, so its last line is partial. Writes are
+// persisted, staged by FlushLines, drained, or never flushed; some lines
+// are written and then put back to their durable bytes, which makes them
+// equal again, so they must be neither reported nor counted.
+TEST(PmemDeviceTest, CrashMatchesPerLineReferenceScan) {
+  constexpr size_t kSize = 5 * 4096 + 7 * kCacheLineSize + 23;
+  std::mt19937_64 rng(20210426);
+  auto below = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  for (int trial = 0; trial < 24; trial++) {
+    PmemDevice dev(kSize);
+    std::set<uint64_t> staged;  // lines flushed since the last drain
+    const int ops = trial % 4 == 0 ? 4 : 60;  // a few sparse trials
+    for (int op = 0; op < ops; op++) {
+      // Mostly short writes, sometimes one spanning several pages, and
+      // often one that ends on the device's last byte.
+      const size_t len = 1 + (below(8) == 0 ? below(3 * 4096) : below(200));
+      const size_t offset =
+          below(4) == 0 ? kSize - std::min(len, kSize) : below(kSize);
+      const size_t n = std::min(len, kSize - offset);
+      const int kind = static_cast<int>(below(6));
+      if (kind == 5) {
+        // Write, then restore the durable bytes: equal again.
+        for (size_t i = 0; i < n; i++) {
+          dev.Live(offset)[i] ^= 0x5A;
+        }
+        std::memcpy(dev.Live(offset), dev.Durable(offset), n);
+        continue;
+      }
+      for (size_t i = 0; i < n; i++) {
+        dev.Live(offset)[i] = static_cast<uint8_t>(rng());
+      }
+      if (kind == 0) {
+        dev.Persist(offset, n);
+      } else if (kind == 1 || kind == 2) {
+        dev.FlushLines(offset, n);
+        for (uint64_t line = offset / kCacheLineSize;
+             line <= (offset + n - 1) / kCacheLineSize; line++) {
+          staged.insert(line);
+        }
+        if (kind == 2 && below(3) == 0) {
+          dev.Drain();
+          staged.clear();
+        }
+      }
+      // kind 3 and 4: never flushed.
+    }
+
+    // The reference: every line that differs, in address order, with the
+    // reason the pending bitmap gives it.
+    std::vector<std::pair<PmOffset, obs::FrReason>> expected;
+    for (PmOffset off = 0; off < kSize; off += kCacheLineSize) {
+      const size_t n = std::min(kCacheLineSize, kSize - off);
+      if (std::memcmp(dev.Live(off), dev.Durable(off), n) != 0) {
+        expected.push_back({off, staged.count(off / kCacheLineSize) != 0
+                                     ? obs::FrReason::kFlushedNotDrained
+                                     : obs::FrReason::kNeverFlushed});
+      }
+    }
+    const std::vector<uint8_t> durable = dev.SnapshotDurable();
+#ifndef ARTHAS_OBS_DISABLED
+    obs::Counter& discarded =
+        obs::MetricsRegistry::Global().GetCounter("pmem.crash_discarded.lines");
+    const uint64_t discarded_before = discarded.value();
+#endif
+
+    dev.Crash();
+
+    ASSERT_EQ(std::memcmp(dev.Live(0), durable.data(), kSize), 0)
+        << "trial " << trial;
+    ASSERT_EQ(dev.SnapshotDurable(), durable) << "trial " << trial;
+    EXPECT_EQ(dev.PendingLineCount(), 0u);
+#ifndef ARTHAS_OBS_DISABLED
+    EXPECT_EQ(discarded.value() - discarded_before, expected.size())
+        << "trial " << trial;
+    std::vector<std::pair<PmOffset, obs::FrReason>> lost;
+    std::vector<uint64_t> crash_args;
+    for (const obs::FlightRecord& r :
+         obs::FlightRecorder::Global().Snapshot()) {
+      if (r.device_id != dev.device_id()) {
+        continue;
+      }
+      if (r.type == obs::FrType::kLineLost) {
+        EXPECT_EQ(r.size, kCacheLineSize);
+        lost.push_back({r.addr, r.reason});
+      } else if (r.type == obs::FrType::kCrash) {
+        crash_args.push_back(r.arg);
+      }
+    }
+    EXPECT_EQ(lost, expected) << "trial " << trial;
+    EXPECT_EQ(crash_args, std::vector<uint64_t>{expected.size()});
+#endif
+  }
 }
 
 TEST(PmemDeviceTest, OffsetOfRejectsForeignPointers) {
