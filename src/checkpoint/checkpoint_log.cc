@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 #include "obs/profiler.h"
@@ -35,6 +36,14 @@ std::atomic<uint64_t> next_log_id{1};
 uint64_t HashAddress(PmOffset address) {
   const uint64_t h = address * 0x9E3779B97F4A7C15ULL;
   return h ^ (h >> 32);
+}
+
+// The bytes an entry covers under the join's overlap rule. Requires the
+// entry's shard mutex.
+size_t ExtentLocked(const CheckpointEntry& entry) {
+  return std::max(entry.original.size(),
+                  entry.versions.empty() ? size_t{0}
+                                         : entry.versions.back().data.size());
 }
 }  // namespace
 
@@ -511,7 +520,11 @@ void CheckpointLog::RefreshAddressViewLocked() const {
       address_view_.emplace_back(entry.address, &entry);
     }
   }
-  std::sort(address_view_.begin(), address_view_.end());
+  // Addresses are unique, so this is the order of a sort of the pairs.
+  RadixSort(address_view_,
+            [](const std::pair<PmOffset, const CheckpointEntry*>& e) {
+              return e.first;
+            });
 }
 
 std::vector<const CheckpointEntry*> CheckpointLog::JoinAddressView(
@@ -545,10 +558,7 @@ std::vector<const CheckpointEntry*> CheckpointLog::JoinAddressView(
     size_t extent;
     {
       std::lock_guard<std::mutex> lock(ShardFor(candidate.address).mutex);
-      extent = std::max(candidate.original.size(),
-                        candidate.versions.empty()
-                            ? size_t{0}
-                            : candidate.versions.back().data.size());
+      extent = ExtentLocked(candidate);
     }
     if (*start < candidate.address + extent) {
       out.push_back(&candidate);
@@ -566,6 +576,13 @@ std::vector<const CheckpointEntry*> CheckpointLog::OverlappingAny(
 std::vector<const CheckpointEntry*> CheckpointLog::Overlapping(
     PmOffset offset, size_t size) const {
   return JoinAddressView({&offset, 1}, size);
+}
+
+size_t CheckpointLog::ExtentAt(PmOffset address) const {
+  const Shard& shard = ShardFor(address);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  const CheckpointEntry* entry = FindSlot(shard, address);
+  return entry == nullptr ? 0 : ExtentLocked(*entry);
 }
 
 std::optional<std::pair<PmOffset, int>> CheckpointLog::LocateSeq(

@@ -294,7 +294,7 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // search past entries that start max_extent or more below the next
   // address, so a sparse address set costs a binary search per address
   // and a dense one at most one visit per entry. The first call after new
-  // entries appear re-sorts every entry into the view.
+  // entries appear rebuilds the view with a radix sort by address.
   std::vector<const CheckpointEntry*> OverlappingAny(
       std::span<const PmOffset> addresses) const;
 
@@ -303,6 +303,11 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // lookup).
   std::vector<const CheckpointEntry*> Overlapping(PmOffset offset,
                                                   size_t size) const;
+
+  // Bytes the entry at `address` covers, as the overlap rule of
+  // OverlappingAny reads them (the larger of its pre-history and its newest
+  // version), or 0 when no entry starts there. Read under the shard lock.
+  size_t ExtentAt(PmOffset address) const;
 
   // The (entry address, version index) holding sequence number `seq`, or
   // nothing once that version has left its entry's ring (evicted or
@@ -497,8 +502,9 @@ class CheckpointLog : public DurabilityObserver, public PoolObserver {
   // Every entry as (address, entry), sorted by address. Entries are never
   // erased outside Restore, so the view is complete exactly when it holds
   // entry_count_ of them; the first walk after new entries appear
-  // rebuilds it, and Restore, which replaces the entries it points to,
-  // empties it.
+  // rebuilds it, gathering every shard's entries and radix-sorting them by
+  // address (each address has one entry, so no tie needs an order), and
+  // Restore, which replaces the entries it points to, empties it.
   mutable std::mutex view_mutex_;
   mutable std::vector<std::pair<PmOffset, const CheckpointEntry*>>
       address_view_;

@@ -2,35 +2,14 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 #include "substrate/substrate.h"
 
 namespace arthas {
-
-namespace {
-// The trace ⋈ checkpoint join: every log entry overlapping an address one
-// of `guids` touched, each once, in address order. The addresses are
-// gathered, sorted and de-duplicated first, so the log answers them all in
-// one merge pass over its address view.
-template <typename Guids>
-std::vector<const CheckpointEntry*> JoinTrace(const Guids& guids,
-                                              Tracer& tracer,
-                                              const CheckpointLog& log) {
-  std::vector<PmOffset> addresses;
-  for (const Guid guid : guids) {
-    const std::vector<PmOffset> touched = tracer.AddressesForGuid(guid);
-    addresses.insert(addresses.end(), touched.begin(), touched.end());
-  }
-  std::sort(addresses.begin(), addresses.end());
-  addresses.erase(std::unique(addresses.begin(), addresses.end()),
-                  addresses.end());
-  return log.OverlappingAny(addresses);
-}
-}  // namespace
 
 Reactor::Reactor(const IrModule& model, const GuidRegistry& registry)
     : model_(model), registry_(registry) {
@@ -50,15 +29,10 @@ std::vector<SeqNum> Reactor::ComputeReversionPlan(
     const FaultInfo& fault, Tracer& tracer, const CheckpointLog& log,
     const ReactorConfig& config,
     std::vector<CandidateDecision>* explanation) {
-  std::vector<SeqNum> plan;
-  for (const PlannedCandidate& candidate :
-       PlanCandidates(fault, tracer, log, config, explanation)) {
-    plan.push_back(candidate.seq);
-  }
-  return plan;
+  return PlanCandidates(fault, tracer, log, config, explanation).seqs;
 }
 
-std::vector<Reactor::PlannedCandidate> Reactor::PlanCandidates(
+Reactor::Plan Reactor::PlanCandidates(
     const FaultInfo& fault, Tracer& tracer, const CheckpointLog& log,
     const ReactorConfig& config,
     std::vector<CandidateDecision>* explanation) {
@@ -75,7 +49,8 @@ std::vector<Reactor::PlannedCandidate> Reactor::PlanCandidates(
   // checkpoint log to build the candidate list (paper Section 4.4).
   ScopedTimer search_timer;
   // Every retained version of every entry overlapping an address a slice
-  // node touched, from one join of those addresses with the log. Many
+  // node touched: the tracer returns those addresses sorted from one pass
+  // over its address index, and the log joins them in one merge pass. Many
   // addresses land in one entry; the join returns it (and so its versions
   // and its realloc history) once.
   std::vector<Guid> slice_guids;
@@ -88,13 +63,21 @@ std::vector<Reactor::PlannedCandidate> Reactor::PlanCandidates(
       slice_guids.push_back(node->guid());
     }
   }
-  std::vector<PlannedCandidate> plan;
+  std::sort(slice_guids.begin(), slice_guids.end());
+  slice_guids.erase(std::unique(slice_guids.begin(), slice_guids.end()),
+                    slice_guids.end());
+  Plan plan;
   auto append_versions = [&plan](const CheckpointEntry& entry) {
+    if (entry.versions.empty()) {
+      return;
+    }
+    plan.entry_addresses.push_back(entry.address);
     for (const CheckpointVersion& version : entry.versions) {
-      plan.push_back({version.seq_num, entry.address});
+      plan.seqs.push_back(version.seq_num);
     }
   };
-  for (const CheckpointEntry* entry : JoinTrace(slice_guids, tracer, log)) {
+  for (const CheckpointEntry* entry :
+       log.OverlappingAny(tracer.AddressesForGuids(slice_guids))) {
     append_versions(*entry);
     // Follow reallocation links (Figure 5's old_entry field, detailed in the
     // technical report): a resized persistent block's earlier history lives
@@ -114,16 +97,9 @@ std::vector<Reactor::PlannedCandidate> Reactor::PlanCandidates(
   // Candidates recorded at the faulting PM address (when the failure
   // reported one, as a segfault's siginfo does) are tried first — they are
   // the most likely direct cause.
-  std::sort(plan.begin(), plan.end(),
-            [](const PlannedCandidate& a, const PlannedCandidate& b) {
-              return a.seq > b.seq;
-            });
-  plan.erase(std::unique(plan.begin(), plan.end(),
-                         [](const PlannedCandidate& a,
-                            const PlannedCandidate& b) {
-                           return a.seq == b.seq;
-                         }),
-             plan.end());
+  std::vector<SeqNum>& seqs = plan.seqs;
+  RadixSort(seqs, [](SeqNum s) { return ~s; });
+  seqs.erase(std::unique(seqs.begin(), seqs.end()), seqs.end());
   std::vector<SeqNum> at_fault;
   if (config.prioritize_fault_address &&
       fault.fault_address != kNullPmOffset) {
@@ -135,17 +111,17 @@ std::vector<Reactor::PlannedCandidate> Reactor::PlanCandidates(
     }
   }
   const size_t at_fault_count = static_cast<size_t>(
-      std::stable_partition(plan.begin(), plan.end(),
-                            [&at_fault](const PlannedCandidate& c) {
+      std::stable_partition(seqs.begin(), seqs.end(),
+                            [&at_fault](SeqNum s) {
                               return std::find(at_fault.begin(),
                                                at_fault.end(),
-                                               c.seq) != at_fault.end();
+                                               s) != at_fault.end();
                             }) -
-      plan.begin());
+      seqs.begin());
   // Stamp one decision per candidate: why it made the plan (faulting
   // address vs dependency slice).
-  for (size_t rank = 0; rank < plan.size(); rank++) {
-    const SeqNum s = plan[rank].seq;
+  for (size_t rank = 0; rank < seqs.size(); rank++) {
+    const SeqNum s = seqs[rank];
     const obs::FrReason reason = rank < at_fault_count
                                      ? obs::FrReason::kAtFaultAddress
                                      : obs::FrReason::kSliceDependency;
@@ -161,8 +137,8 @@ std::vector<Reactor::PlannedCandidate> Reactor::PlanCandidates(
     }
   }
   ARTHAS_PHASE_RECORD("reactor.search.ns", kReactorSearch,
-                      search_timer.ElapsedNanos(), plan.size());
-  ARTHAS_COUNTER_ADD("reactor.candidates.count", plan.size());
+                      search_timer.ElapsedNanos(), seqs.size());
+  ARTHAS_COUNTER_ADD("reactor.candidates.count", seqs.size());
   return plan;
 }
 
@@ -197,7 +173,7 @@ uint64_t Reactor::RevertCandidate(SeqNum seq, Tracer& tracer,
     // persists) are actually forward-dependent on the reverted value, so
     // the pass is bounded to that window.
     constexpr SeqNum kForwardWindow = 32;
-    // Forward slices of different sites share nodes: join each GUID once.
+    // Forward slices of different sites share nodes: collect each GUID once.
     std::set<Guid> forward_guids;
     for (const Guid guid : reverted_guids) {
       const IrInstruction* inst = model_.FindByGuid(guid);
@@ -211,12 +187,23 @@ uint64_t Reactor::RevertCandidate(SeqNum seq, Tracer& tracer,
         }
       }
     }
-    std::set<SeqNum> forward;
-    for (const CheckpointEntry* entry :
-         JoinTrace(forward_guids, tracer, log)) {
-      for (const CheckpointVersion& v : entry->versions) {
-        if (v.seq_num > seq && v.seq_num <= seq + kForwardWindow) {
-          forward.insert(v.seq_num);
+    // The window's retained versions, looked up by seq, whose entry a
+    // forward GUID touched under the join's overlap rule: at most
+    // kForwardWindow lookups instead of a join of every address the
+    // forward slice touched.
+    std::vector<SeqNum> forward;
+    for (SeqNum s = seq + 1;
+         !forward_guids.empty() && s <= seq + kForwardWindow; s++) {
+      const auto located = log.LocateSeq(s);
+      if (!located.has_value()) {
+        continue;
+      }
+      const PmOffset address = located->first;
+      for (const Guid g :
+           tracer.GuidsForRange(address, log.ExtentAt(address))) {
+        if (forward_guids.count(g) != 0) {
+          forward.push_back(s);
+          break;
         }
       }
     }
@@ -310,9 +297,8 @@ MitigationOutcome Reactor::Mitigate(const FaultInfo& fault, Tracer& tracer,
   MitigationOutcome outcome;
   ARTHAS_SCOPED_PHASE("reactor.mitigate.ns", kReactorMitigate);
   const VirtualTime start = clock.Now();
-  const std::vector<PlannedCandidate> planned =
-      PlanCandidates(fault, tracer, log, config, nullptr);
-  if (planned.empty()) {
+  const Plan plan = PlanCandidates(fault, tracer, log, config, nullptr);
+  if (plan.seqs.empty()) {
     // Detector false alarm or non-PM failure: abort to a simple restart
     // (Section 4.5).
     outcome.empty_plan = true;
@@ -323,18 +309,6 @@ MitigationOutcome Reactor::Mitigate(const FaultInfo& fault, Tracer& tracer,
     outcome.elapsed = clock.Now() - start;
     outcome.detail = "empty reversion plan; resorted to restart";
     return outcome;
-  }
-
-  // The plan, and the addresses it touches for the older-version retry
-  // rounds.
-  std::vector<SeqNum> plan;
-  std::vector<PmOffset> plan_addresses;
-  std::unordered_set<PmOffset> seen_addresses;
-  for (const PlannedCandidate& candidate : planned) {
-    plan.push_back(candidate.seq);
-    if (seen_addresses.insert(candidate.address).second) {
-      plan_addresses.push_back(candidate.address);
-    }
   }
 
   auto try_reexecution = [&](int reverted_since_check) -> bool {
@@ -364,15 +338,18 @@ MitigationOutcome Reactor::Mitigate(const FaultInfo& fault, Tracer& tracer,
   for (int round = 1; round <= config.max_versions; round++) {
     std::vector<SeqNum> round_plan;
     if (round == 1) {
-      round_plan = plan;
+      round_plan = plan.seqs;
     } else {
-      for (const PmOffset address : plan_addresses) {
+      for (const PmOffset address : plan.entry_addresses) {
         const SeqNum s = log.NewestSeqAt(address);
         if (s != kNoSeq) {
           round_plan.push_back(s);
         }
       }
+      // An entry both joined and reached by a realloc link is listed twice.
       std::sort(round_plan.rbegin(), round_plan.rend());
+      round_plan.erase(std::unique(round_plan.begin(), round_plan.end()),
+                       round_plan.end());
     }
     size_t i = 0;
     while (i < round_plan.size()) {

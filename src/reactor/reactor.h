@@ -22,11 +22,14 @@
 // Mirroring the client-server split of Section 5, the constructor does the
 // expensive static work (pointer analysis, PDG) once. A Mitigate() call
 // still does more than slicing on its critical path: the slice costs about
-// 0.1 ms, but the search that joins it with the trace and the checkpoint
-// log (once for the plan, and again for each purge forward pass) covers
-// every address the slice's instructions touched. Each join sorts those
-// addresses and answers them in one merge pass over the log's address view
-// (DESIGN.md §3b "Trace ⋈ checkpoint join").
+// 0.1 ms, but the plan's join with the trace and the checkpoint log covers
+// every address the slice's instructions touched. The tracer hands over
+// those addresses already sorted, from one pass over its (address, GUID)
+// index, and the log answers them in one merge pass over its address view,
+// so the join itself sorts nothing; the sorts left on the path (the two
+// indexes, when first queried after new traffic, and the candidate order)
+// are radix sorts. A purge forward pass looks up the few seqs of its window
+// instead of joining the forward slice (DESIGN.md §3b items 6 and 7).
 
 #ifndef ARTHAS_REACTOR_REACTOR_H_
 #define ARTHAS_REACTOR_REACTOR_H_
@@ -178,15 +181,17 @@ class Reactor {
   const PmVariableInfo& pm_info() const { return *pm_info_; }
 
  private:
-  // A plan candidate and the address of the entry whose retained version it
-  // was read from: what LocateSeq would answer at plan time.
-  struct PlannedCandidate {
-    SeqNum seq = kNoSeq;
-    PmOffset address = kNullPmOffset;
+  // A reversion plan: the candidates in plan order, and the address of
+  // every entry they were read from (an entry that held a version at plan
+  // time; an address may repeat), which the older-version retry rounds
+  // revisit.
+  struct Plan {
+    std::vector<SeqNum> seqs;
+    std::vector<PmOffset> entry_addresses;
   };
 
-  // ComputeReversionPlan, keeping each candidate's entry address.
-  std::vector<PlannedCandidate> PlanCandidates(
+  // ComputeReversionPlan, keeping the candidates' entry addresses.
+  Plan PlanCandidates(
       const FaultInfo& fault, Tracer& tracer, const CheckpointLog& log,
       const ReactorConfig& config,
       std::vector<CandidateDecision>* explanation);

@@ -1,10 +1,12 @@
 #include "trace/tracer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <limits>
 #include <unordered_map>
 
+#include "common/radix_sort.h"
 #include "obs/obs.h"
 
 namespace arthas {
@@ -171,14 +173,16 @@ void Tracer::RebuildIndexLocked() {
   if (!index_dirty_) {
     return;
   }
-  by_guid_.clear();
   by_address_.clear();
   by_address_.reserve(archive_.size());
   for (const TraceEvent& e : archive_) {
-    by_guid_[e.guid].push_back(e.address);
     by_address_.push_back({e.address, e.guid});
   }
-  std::sort(by_address_.begin(), by_address_.end());
+  // (address, GUID) order: the GUID pass first, then a stable address pass.
+  RadixSort(by_address_,
+            [](const std::pair<PmOffset, Guid>& p) { return p.second; });
+  RadixSort(by_address_,
+            [](const std::pair<PmOffset, Guid>& p) { return p.first; });
   index_dirty_ = false;
 }
 
@@ -204,9 +208,28 @@ void Tracer::ForEachEvent(const std::function<void(const TraceEvent&)>& fn) {
 
 std::vector<PmOffset> Tracer::AddressesForGuid(Guid guid) {
   std::lock_guard<std::mutex> lock(mutex_);
+  FlushAllLocked();
+  std::vector<PmOffset> out;
+  for (const TraceEvent& e : archive_) {
+    if (e.guid == guid) {
+      out.push_back(e.address);
+    }
+  }
+  return out;
+}
+
+std::vector<PmOffset> Tracer::AddressesForGuids(std::span<const Guid> guids) {
+  assert(std::is_sorted(guids.begin(), guids.end()));
+  std::lock_guard<std::mutex> lock(mutex_);
   RebuildIndexLocked();
-  auto it = by_guid_.find(guid);
-  return it == by_guid_.end() ? std::vector<PmOffset>{} : it->second;
+  std::vector<PmOffset> out;
+  for (const auto& [address, guid] : by_address_) {
+    if ((out.empty() || out.back() != address) &&
+        std::binary_search(guids.begin(), guids.end(), guid)) {
+      out.push_back(address);
+    }
+  }
+  return out;
 }
 
 std::vector<Guid> Tracer::GuidsForRange(PmOffset offset, size_t size) {
@@ -272,11 +295,10 @@ void Tracer::Clear() {
   archive_.clear();
   buckets_.clear();
   archive_sorted_ = true;
-  // Derived state must reset with the archive: the lazy indexes would
+  // Derived state must reset with the archive: the lazy index would
   // otherwise keep serving pre-Clear results until the next Record, the
   // filters would drop the next record of a pair recorded before Clear,
   // and the stats (which also seed record indexes) would keep counting.
-  by_guid_.clear();
   by_address_.clear();
   index_dirty_ = true;
   stats_.records = 0;

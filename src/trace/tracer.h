@@ -31,9 +31,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,11 +99,18 @@ class Tracer {
   void ForEachEvent(const std::function<void(const TraceEvent&)>& fn);
 
   // Dynamic addresses a static instruction touched (deduplicated, in first-
-  // record order). Served from an index rebuilt lazily after new pairs.
+  // record order): one pass over the archive.
   std::vector<PmOffset> AddressesForGuid(Guid guid);
 
-  // GUIDs that ever touched an address inside [offset, offset + size)
-  // (deduplicated).
+  // The trace side of the trace ⋈ checkpoint join: every address one of
+  // `guids` (sorted ascending) touched, sorted and deduplicated, which is
+  // the sorted union of AddressesForGuid over the set. One pass over the
+  // (address, GUID) index.
+  std::vector<PmOffset> AddressesForGuids(std::span<const Guid> guids);
+
+  // GUIDs that ever touched an address inside [offset, offset + size),
+  // deduplicated, in the order of their first address in the range: a
+  // binary search into the (address, GUID) index.
   std::vector<Guid> GuidsForRange(PmOffset offset, size_t size);
 
   // Serialize the archive in the "guid<TAB>address" trace-file format: one
@@ -151,14 +158,14 @@ class Tracer {
   // Rebuilds buckets_ from archive_, sized for one more pair. Requires
   // mutex_.
   void RehashLocked();
-  // Rebuilds by_guid_/by_address_ if new pairs arrived. Requires mutex_.
+  // Rebuilds by_address_ if new pairs arrived. Requires mutex_.
   void RebuildIndexLocked();
 
   bool enabled_ = true;
   const size_t buffer_capacity_;
   const uint64_t id_;  // process-unique, never reused
   // Guards the archive, its buckets, the buffer registry, and the lazy
-  // indexes.
+  // address index.
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
   // Every distinct pair once, at its first record index. In fold order,
@@ -170,10 +177,10 @@ class Tracer {
   // position + 1), 0 = empty. Power-of-two size, linear probing, load at
   // most 1/2.
   std::vector<uint32_t> buckets_;
-  // Lazily rebuilt query indexes over the archive.
+  // Every archived pair as (address, GUID), sorted, rebuilt lazily by the
+  // first range or join query after new pairs arrive.
   bool index_dirty_ = true;
-  std::map<Guid, std::vector<PmOffset>> by_guid_;
-  std::vector<std::pair<PmOffset, Guid>> by_address_;  // sorted by address
+  std::vector<std::pair<PmOffset, Guid>> by_address_;
   TracerStats stats_;
 };
 

@@ -1,6 +1,7 @@
-// Tests for the common substrate (Status/Result, Rng, CRC32C, clock) and
-// the typed persistent-pointer layer.
+// Tests for the common substrate (Status/Result, Rng, CRC32C, clock, radix
+// sort) and the typed persistent-pointer layer.
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "checkpoint/checkpoint_log.h"
 #include "common/clock.h"
 #include "common/crc32.h"
+#include "common/radix_sort.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "pmem/persistent.h"
@@ -136,6 +138,81 @@ TEST(ClockTest, CyclesPerNanosecondInSaneRange) {
   EXPECT_LT(cpn, 1000.0);
   // Calibration happens once: repeated calls return the cached ratio.
   EXPECT_EQ(CyclesPerNanosecond(), cpn);
+}
+
+// --- RadixSort -------------------------------------------------------------------
+
+// (key, input position) pairs: the position shows whether equal keys kept
+// their input order.
+using Keyed = std::pair<uint64_t, size_t>;
+
+std::vector<Keyed> WithPositions(const std::vector<uint64_t>& keys) {
+  std::vector<Keyed> out;
+  for (size_t i = 0; i < keys.size(); i++) {
+    out.push_back({keys[i], i});
+  }
+  return out;
+}
+
+// RadixSort by `key` must give exactly std::stable_sort's order by `key`.
+template <typename KeyFn>
+void ExpectStableSortOrder(const std::vector<uint64_t>& keys, KeyFn key) {
+  std::vector<Keyed> expected = WithPositions(keys);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&key](const Keyed& a, const Keyed& b) {
+                     return key(a) < key(b);
+                   });
+  std::vector<Keyed> sorted = WithPositions(keys);
+  RadixSort(sorted, key);
+  EXPECT_EQ(sorted, expected);
+}
+
+TEST(RadixSortTest, MatchesStableSort) {
+  Rng rng(17);
+  auto random_keys = [&rng](size_t n, uint64_t mask, uint64_t bound) {
+    std::vector<uint64_t> keys;
+    for (size_t i = 0; i < n; i++) {
+      keys.push_back(rng.NextBelow(bound) & mask);
+    }
+    return keys;
+  };
+  const uint64_t kAll = ~uint64_t{0};
+  std::vector<std::vector<uint64_t>> cases = {
+      {},
+      {42},
+      {7, 3},
+      {3, 3},
+      random_keys(6000, kAll, kAll),          // all eight bytes vary
+      random_keys(6000, kAll, 64),            // many duplicates, one byte
+      std::vector<uint64_t>(6000, 0x0123456789abcdefULL),  // all equal
+  };
+  // Keys that differ only in their top byte, with duplicates.
+  std::vector<uint64_t> top_byte;
+  for (uint64_t k : random_keys(6000, kAll, 256)) {
+    top_byte.push_back((k << 56) | 0x00fedcba98765432ULL);
+  }
+  cases.push_back(top_byte);
+  // Addresses in an 8 MB pool, as the address view sorts them.
+  cases.push_back(random_keys(6000, ~uint64_t{7}, 8 << 20));
+  for (const std::vector<uint64_t>& keys : cases) {
+    SCOPED_TRACE(keys.size());
+    ExpectStableSortOrder(keys, [](const Keyed& k) { return k.first; });
+    // Descending through ~key, equal keys still in input order.
+    ExpectStableSortOrder(keys, [](const Keyed& k) { return ~k.first; });
+  }
+}
+
+TEST(RadixSortTest, CompositeKeyLeastSignificantPartFirst) {
+  Rng rng(5);
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  for (int i = 0; i < 6000; i++) {
+    pairs.push_back({rng.NextBelow(512) * 64, 1 + rng.NextBelow(40)});
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> expected = pairs;
+  std::sort(expected.begin(), expected.end());
+  RadixSort(pairs, [](const auto& p) { return p.second; });
+  RadixSort(pairs, [](const auto& p) { return p.first; });
+  EXPECT_EQ(pairs, expected);
 }
 
 // --- PersistentPtr / PersistentVar -------------------------------------------------

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "analysis/slicer.h"
 #include "checkpoint/checkpoint_log.h"
 #include "common/crc32.h"
+#include "obs/flight_recorder.h"
 #include "reactor/reactor.h"
 #include "reactor/reactor_server.h"
 #include "systems/memcached_mini.h"
@@ -55,6 +57,13 @@ class TinyTarget : public PmSystemBase {
   void StoreOther(uint64_t v) {
     state()->other = v;
     TracedPersist(root_, offsetof(Layout, other), 8, kGuidOtherStore);
+  }
+  // The data store at another dynamic address: word `slot` after the
+  // layout's fields.
+  void StoreDataSlot(size_t slot, uint64_t v) {
+    const size_t offset = sizeof(Layout) + 8 * slot;
+    std::memcpy(pool_->Direct<uint8_t>(root_) + offset, &v, sizeof(v));
+    TracedPersist(root_, offset, sizeof(v), kGuidDataStore);
   }
 
   // The "request": crashes while the flag is bad.
@@ -266,6 +275,128 @@ TEST_F(ReactorTest, DivergenceRestoresCheckpointedVersion) {
                        MakeReexecute(), clock_);
   EXPECT_TRUE(outcome.recovered);
   EXPECT_EQ(target_->state()->flag, 7u);  // the checkpointed good version
+}
+
+// Every entry whose recorded range contains `address`, by a scan of all
+// entries.
+std::vector<const CheckpointEntry*> LinearOverlapping(const CheckpointLog& log,
+                                                      PmOffset address) {
+  std::vector<const CheckpointEntry*> out;
+  log.ForEachEntry([&out, address](const CheckpointEntry& entry) {
+    const size_t extent = std::max(entry.original.size(),
+                                   entry.versions.empty()
+                                       ? size_t{0}
+                                       : entry.versions.back().data.size());
+    if (entry.address <= address && address < entry.address + extent) {
+      out.push_back(&entry);
+    }
+  });
+  return out;
+}
+
+// Purge's forward pass (Section 4.4) on the edges of its window: after the
+// bad flag version at seq S is reverted, the retained versions in
+// (S, S + 32] whose entry holds an address the flag store's forward slice
+// touched are reverted too, newest first, and nothing else. Checked
+// against a brute force that joins every such address with a scan of the
+// log.
+TEST_F(ReactorTest, PurgeForwardPassRevertsExactlyItsWindow) {
+  target_->StoreFlag(1);
+  target_->StoreFlag(0xbad);
+  const SeqNum bad = log_->LatestSeq();
+  target_->StoreDataSlot(0, 11);  // S + 1: reverted
+  target_->StoreDataSlot(1, 12);  // S + 2: leaves its ring below
+  for (int i = 0; i < 29; i++) {
+    target_->StoreOther(100 + i);  // S + 3 .. S + 31: independent
+  }
+  target_->StoreDataSlot(2, 13);  // S + 32: reverted
+  target_->StoreDataSlot(3, 14);  // S + 33: past the window, kept
+  for (int i = 0; i < 3; i++) {
+    target_->StoreDataSlot(1, 20 + i);  // evicts S + 2
+  }
+  ASSERT_EQ(log_->LatestSeq(), bad + 36);
+  ASSERT_FALSE(log_->LocateSeq(bad + 2).has_value());
+  ASSERT_TRUE(log_->LocateSeq(bad + 31).has_value());
+  ASSERT_FALSE(target_->Read());
+  const FaultInfo fault = *target_->last_fault();
+  Reactor reactor(target_->ir_model(), target_->guid_registry());
+
+  // Brute force: the forward slices of every GUID that touched the flag,
+  // every address their GUIDs touched, every entry overlapping one, and
+  // those entries' retained versions in the window. The flag's revert
+  // changes none of those entries, so they are read before mitigating.
+  const PmOffset flag = target_->root().off;
+  const Slicer slicer(reactor.pdg(), reactor.pm_info());
+  std::set<Guid> forward_guids;
+  for (const TraceEvent& e : target_->tracer().Events()) {
+    const IrInstruction* inst = target_->ir_model().FindByGuid(e.guid);
+    if (e.address != flag || inst == nullptr) {
+      continue;
+    }
+    for (const IrInstruction* node :
+         slicer.ForwardPersistent(inst).instructions) {
+      if (node != inst && node->guid() != kNoGuid) {
+        forward_guids.insert(node->guid());
+      }
+    }
+  }
+  std::set<SeqNum> forward;
+  for (const Guid guid : forward_guids) {
+    for (const PmOffset address : target_->tracer().AddressesForGuid(guid)) {
+      for (const CheckpointEntry* entry : LinearOverlapping(*log_, address)) {
+        for (const CheckpointVersion& version : entry->versions) {
+          if (version.seq_num > bad && version.seq_num <= bad + 32) {
+            forward.insert(version.seq_num);
+          }
+        }
+      }
+    }
+  }
+  ASSERT_EQ(forward, (std::set<SeqNum>{bad + 1, bad + 32}));
+  // The reverts in order, and the root object they leave: each reverted
+  // version's undo bytes written over the image, in that order.
+  std::vector<SeqNum> reverts = {bad};
+  reverts.insert(reverts.end(), forward.rbegin(), forward.rend());
+  const PmemDevice& device = target_->pool().device();
+  auto root_image = [&device, flag]() {
+    return std::vector<uint8_t>(device.Durable(flag),
+                                device.Durable(flag) + 192);
+  };
+  std::vector<uint8_t> expected = root_image();
+  for (const SeqNum seq : reverts) {
+    log_->ForEachEntry([&expected, flag, seq](const CheckpointEntry& entry) {
+      for (const CheckpointVersion& version : entry.versions) {
+        if (version.seq_num == seq) {
+          std::copy(version.pre.begin(), version.pre.end(),
+                    expected.begin() +
+                        static_cast<ptrdiff_t>(entry.address - flag));
+        }
+      }
+    });
+  }
+
+#ifndef ARTHAS_OBS_DISABLED
+  obs::FlightRecorder::Global().Clear();
+#endif
+  const MitigationOutcome outcome =
+      reactor.Mitigate(fault, target_->tracer(), *log_, *target_,
+                       MakeReexecute(), clock_);
+  ASSERT_TRUE(outcome.recovered) << outcome.detail;
+  EXPECT_EQ(outcome.reexecutions, 1);
+  EXPECT_EQ(outcome.reverted_updates, reverts.size());
+  EXPECT_EQ(root_image(), expected);
+  EXPECT_TRUE(log_->LocateSeq(bad + 31).has_value());
+  EXPECT_TRUE(log_->LocateSeq(bad + 33).has_value());
+#ifndef ARTHAS_OBS_DISABLED
+  std::vector<SeqNum> recorded;
+  for (const obs::FlightRecord& r : obs::FlightRecorder::Global().Snapshot()) {
+    if (r.device_id == device.device_id() &&
+        r.type == obs::FrType::kCheckpointRevert) {
+      recorded.push_back(r.arg);
+    }
+  }
+  EXPECT_EQ(recorded, reverts);
+#endif
 }
 
 TEST_F(ReactorTest, LeakMitigationFreesUnreachableOnly) {

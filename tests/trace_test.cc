@@ -60,6 +60,18 @@ std::vector<PmOffset> ReferenceAddressesForGuid(
   return out;
 }
 
+// Sorted, deduplicated addresses of every pair whose guid is in `guids`.
+std::vector<PmOffset> ReferenceAddressesForGuids(
+    const std::vector<TraceEvent>& distinct, const std::vector<Guid>& guids) {
+  std::set<PmOffset> out;
+  for (const TraceEvent& e : distinct) {
+    if (std::find(guids.begin(), guids.end(), e.guid) != guids.end()) {
+      out.insert(e.address);
+    }
+  }
+  return {out.begin(), out.end()};
+}
+
 // Distinct guids over the (address, guid)-sorted pairs in range.
 std::vector<Guid> ReferenceGuidsForRange(
     const std::vector<TraceEvent>& distinct, PmOffset offset, size_t size) {
@@ -101,6 +113,28 @@ void ExpectSameAnswers(Tracer& tracer, const FullArchiveTracer& reference,
     EXPECT_EQ(tracer.AddressesForGuid(guid),
               ReferenceAddressesForGuid(expected, guid))
         << guid;
+  }
+  // Sorted GUID sets: empty, a GUID never recorded, random subsets (one
+  // with the unrecorded GUID), and every GUID.
+  std::vector<std::vector<Guid>> guid_sets = {{}, {kStreamGuids + 1}};
+  Rng rng(kStreamGuids);
+  for (int i = 0; i < 4; i++) {
+    std::vector<Guid> subset;
+    for (Guid guid = 0; guid <= kStreamGuids + 1; guid++) {
+      if (rng.NextBool(0.5)) {
+        subset.push_back(guid);
+      }
+    }
+    guid_sets.push_back(subset);
+  }
+  guid_sets.emplace_back();
+  for (Guid guid = 1; guid <= kStreamGuids; guid++) {
+    guid_sets.back().push_back(guid);
+  }
+  for (const std::vector<Guid>& guids : guid_sets) {
+    EXPECT_EQ(tracer.AddressesForGuids(guids),
+              ReferenceAddressesForGuids(expected, guids))
+        << guids.size() << " guids";
   }
   for (PmOffset offset = 0; offset < kStreamSpan; offset += 200) {
     for (size_t size : {1, 8, 64, 700}) {
